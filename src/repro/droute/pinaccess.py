@@ -237,11 +237,14 @@ class PinAccessPlanner:
     ) -> List[AccessPath]:
         """DRC-clean tau-feasible access paths for one pin.
 
-        Builds are memoized on (pin, radius, neighbourhood geometry): the
-        per-endpoint blockage-grid Dijkstras dominate the planner's cost,
-        and re-routed nets usually ask for the same pin over unchanged
-        geometry.  A hit replays copies of the cached paths — exactly
-        what a rebuild would produce.
+        One blockage-grid Dijkstra runs per distinct endpoint position
+        ``(x, y)``: endpoints at one position on the pin layer and the
+        layer above share its result and differ only in the via check.
+        Builds are memoized on (pin, radius, neighbourhood geometry):
+        the grid searches dominate the planner's cost, and re-routed
+        nets usually ask for the same pin over unchanged geometry.  A
+        hit replays copies of the cached paths — exactly what a rebuild
+        would produce.
         """
         if self.fault_injector is not None:
             net_name = pin.net.name if pin.net is not None else None
@@ -273,12 +276,19 @@ class PinAccessPlanner:
         graph = self.space.graph
         paths: List[AccessPath] = []
         wire_type = chip.wire_type(self.wire_type_name)
+        # A search's inputs (obstacles, tau, window, source, (x, y)) do
+        # not depend on the endpoint's layer.
+        searched: Dict[Tuple[int, int], Optional[Tuple]] = {}
         for endpoint in endpoints:
             ex, ey, ez = graph.position(endpoint)
-            grid = BlockageGrid(
-                obstacles, tau, window.expanded(tau), [source, (ex, ey)]
-            )
-            result = grid.shortest_path([source], [(ex, ey)])
+            if (ex, ey) not in searched:
+                if OBS.enabled:
+                    OBS.count("pinaccess.grid_searches")
+                grid = BlockageGrid(
+                    obstacles, tau, window.expanded(tau), [source, (ex, ey)]
+                )
+                searched[(ex, ey)] = grid.shortest_path([source], [(ex, ey)])
+            result = searched[(ex, ey)]
             if result is None:
                 continue
             length, points = result

@@ -21,18 +21,18 @@ short segment can ever follow a bend.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.geometry.hanan import refine_with_pitch
 from repro.geometry.rect import Rect
-from repro.util.heap import AddressableHeap
 
 Point = Tuple[int, int]
 
 #: Direction encodings: +x, -x, +y, -y.
 EAST, WEST, NORTH, SOUTH = 0, 1, 2, 3
-_HORIZONTAL = (EAST, WEST)
-_VERTICAL = (NORTH, SOUTH)
+
+#: Distance of a search state no arc has reached yet.
+_UNREACHED = 1 << 62
 
 
 def blockage_grid_coordinates(
@@ -56,7 +56,20 @@ def blockage_grid_coordinates(
 
 
 class BlockageGrid:
-    """Single-layer tau-feasible shortest path search."""
+    """Single-layer tau-feasible shortest path search.
+
+    Grid vertex ``(i, j)`` sits at ``(xs[i], ys[j])`` and has the flat
+    index ``v = i * ny + j``; a search state is ``v * 4 + direction``
+    (the direction the state was entered in).  Obstacles are rasterized
+    once per grid into three flat ``bytearray`` masks (1 = blocked):
+
+    * ``_h_blocked[j * nx + i]``: the horizontal edge (i, j)-(i + 1, j);
+    * ``_v_blocked[i * ny + j]``: the vertical edge (i, j)-(i, j + 1);
+    * ``_vertex_blocked[v]``: vertex strictly inside an obstacle.
+
+    Each row's horizontal edges and each column's vertical edges are
+    contiguous, so a long arc is clear iff its slice holds no 1.
+    """
 
     def __init__(
         self,
@@ -76,100 +89,74 @@ class BlockageGrid:
         self._x_index = {x: i for i, x in enumerate(self.xs)}
         self._y_index = {y: j for j, y in enumerate(self.ys)}
         self._build_blocked_edges()
+        self._build_long_arcs()
 
     # ------------------------------------------------------------------
     # Geometry preprocessing
     # ------------------------------------------------------------------
     def _build_blocked_edges(self) -> None:
         """Mark grid edges whose open interior crosses an obstacle interior."""
-        nx, ny = len(self.xs), len(self.ys)
-        # hblock[j] is a set of i such that edge (xs[i], ys[j])-(xs[i+1], ys[j])
-        # is blocked; vblock[i] likewise for vertical edges.
-        self.hblock: Dict[int, set] = {}
-        self.vblock: Dict[int, set] = {}
-        self.vertex_blocked: set = set()
+        xs, ys = self.xs, self.ys
+        nx, ny = len(xs), len(ys)
+        h_blocked = bytearray(nx * ny)
+        v_blocked = bytearray(nx * ny)
+        vertex_blocked = bytearray(nx * ny)
         for rect in self.obstacles:
             # A horizontal line at y crosses the interior iff y is strictly
             # between the rect's y borders; the edge's open x-span must
-            # overlap the rect's open x-span.
-            j_lo = bisect.bisect_right(self.ys, rect.y_lo)
-            j_hi = bisect.bisect_left(self.ys, rect.y_hi)
-            i_lo = bisect.bisect_left(self.xs, rect.x_lo)
-            i_hi = bisect.bisect_left(self.xs, rect.x_hi)
-            for j in range(j_lo, j_hi):
-                blocked = self.hblock.setdefault(j, set())
-                blocked.update(range(i_lo, i_hi))
-            i_lo_v = bisect.bisect_right(self.xs, rect.x_lo)
-            i_hi_v = bisect.bisect_left(self.xs, rect.x_hi)
-            j_lo_v = bisect.bisect_left(self.ys, rect.y_lo)
-            j_hi_v = bisect.bisect_left(self.ys, rect.y_hi)
-            for i in range(i_lo_v, i_hi_v):
-                blocked = self.vblock.setdefault(i, set())
-                blocked.update(range(j_lo_v, j_hi_v))
-            # Vertices strictly inside an obstacle are unusable.
-            for i in range(i_lo_v, i_hi_v):
-                for j in range(j_lo, j_hi):
-                    self.vertex_blocked.add((i, j))
+            # overlap the rect's open x-span.  Slices never run past a
+            # row (or column), so assignment keeps the masks' sizes.
+            j_lo = bisect.bisect_right(ys, rect.y_lo)
+            j_hi = bisect.bisect_left(ys, rect.y_hi)
+            i_lo = bisect.bisect_left(xs, rect.x_lo)
+            i_hi = bisect.bisect_left(xs, rect.x_hi)
+            ones = b"\x01" * (i_hi - i_lo)
+            for row in range(j_lo * nx, j_hi * nx, nx):
+                h_blocked[row + i_lo:row + i_hi] = ones
+            i_lo_v = bisect.bisect_right(xs, rect.x_lo)
+            i_hi_v = bisect.bisect_left(xs, rect.x_hi)
+            j_lo_v = bisect.bisect_left(ys, rect.y_lo)
+            j_hi_v = bisect.bisect_left(ys, rect.y_hi)
+            edges = b"\x01" * (j_hi_v - j_lo_v)
+            inside = b"\x01" * (j_hi - j_lo)
+            for col in range(i_lo_v * ny, i_hi_v * ny, ny):
+                v_blocked[col + j_lo_v:col + j_hi_v] = edges
+                # Vertices strictly inside an obstacle are unusable.
+                vertex_blocked[col + j_lo:col + j_hi] = inside
+        self._h_blocked = h_blocked
+        self._v_blocked = v_blocked
+        self._vertex_blocked = vertex_blocked
 
-    def _h_edge_free(self, i: int, j: int) -> bool:
-        blocked = self.hblock.get(j)
-        return blocked is None or i not in blocked
+    def _build_long_arcs(self) -> None:
+        """Per coordinate, the index of the nearest coordinate at distance
+        >= tau in each direction: the far end of a long arc, before its
+        run is checked for blockage.  ``len(xs)`` / ``len(ys)`` (east,
+        north) or -1 (west, south) when there is none."""
+        xs, ys, tau = self.xs, self.ys, self.tau
+        self._east = [bisect.bisect_left(xs, x + tau) for x in xs]
+        self._west = [bisect.bisect_right(xs, x - tau) - 1 for x in xs]
+        self._north = [bisect.bisect_left(ys, y + tau) for y in ys]
+        self._south = [bisect.bisect_right(ys, y - tau) - 1 for y in ys]
 
-    def _v_edge_free(self, i: int, j: int) -> bool:
-        blocked = self.vblock.get(i)
-        return blocked is None or j not in blocked
-
-    def _run_free_h(self, j: int, i_lo: int, i_hi: int) -> bool:
-        """Is the horizontal run xs[i_lo]..xs[i_hi] at ys[j] obstacle-free?"""
-        blocked = self.hblock.get(j)
-        if blocked is None:
-            return True
-        return all(i not in blocked for i in range(i_lo, i_hi))
-
-    def _run_free_v(self, i: int, j_lo: int, j_hi: int) -> bool:
-        blocked = self.vblock.get(i)
-        if blocked is None:
-            return True
-        return all(j not in blocked for j in range(j_lo, j_hi))
-
-    # ------------------------------------------------------------------
-    # Long arcs (first move after a bend / from a source)
-    # ------------------------------------------------------------------
-    def _long_arc_target(self, i: int, j: int, direction: int) -> Optional[Tuple[int, int, int]]:
-        """Nearest vertex at distance >= tau in ``direction`` with a clear
-        run; returns (i', j', length) or None."""
-        tau = self.tau
-        if direction == EAST:
-            target = self.xs[i] + tau
-            k = bisect.bisect_left(self.xs, target)
-            if k >= len(self.xs):
-                return None
-            if not self._run_free_h(j, i, k):
-                return None
-            return (k, j, self.xs[k] - self.xs[i])
-        if direction == WEST:
-            target = self.xs[i] - tau
-            k = bisect.bisect_right(self.xs, target) - 1
-            if k < 0:
-                return None
-            if not self._run_free_h(j, k, i):
-                return None
-            return (k, j, self.xs[i] - self.xs[k])
-        if direction == NORTH:
-            target = self.ys[j] + tau
-            k = bisect.bisect_left(self.ys, target)
-            if k >= len(self.ys):
-                return None
-            if not self._run_free_v(i, j, k):
-                return None
-            return (i, k, self.ys[k] - self.ys[j])
-        target = self.ys[j] - tau
-        k = bisect.bisect_right(self.ys, target) - 1
-        if k < 0:
-            return None
-        if not self._run_free_v(i, k, j):
-            return None
-        return (i, k, self.ys[j] - self.ys[k])
+    def lattice_moves(self, i: int, j: int) -> List[Tuple[Tuple[int, int], int]]:
+        """Unit moves ``((i', j'), length)`` from vertex (i, j) to its
+        grid neighbours over clear edges, skipping blocked vertices: the
+        tau = 1 lattice the path-preserving digraph refines."""
+        xs, ys = self.xs, self.ys
+        nx, ny = len(xs), len(ys)
+        moves = []
+        if i + 1 < nx and not self._h_blocked[j * nx + i]:
+            moves.append(((i + 1, j), xs[i + 1] - xs[i]))
+        if i > 0 and not self._h_blocked[j * nx + i - 1]:
+            moves.append(((i - 1, j), xs[i] - xs[i - 1]))
+        if j + 1 < ny and not self._v_blocked[i * ny + j]:
+            moves.append(((i, j + 1), ys[j + 1] - ys[j]))
+        if j > 0 and not self._v_blocked[i * ny + j - 1]:
+            moves.append(((i, j - 1), ys[j] - ys[j - 1]))
+        return [
+            (cell, length) for cell, length in moves
+            if not self._vertex_blocked[cell[0] * ny + cell[1]]
+        ]
 
     # ------------------------------------------------------------------
     # Shortest path
@@ -182,104 +169,197 @@ class BlockageGrid:
         Returns (length, polyline of grid points including endpoints), or
         None when no tau-feasible connection exists.  All terminals must
         lie on grid coordinates (they do when passed to the constructor).
+
+        Among equally short paths the one whose final state the heap
+        pops first wins, so the heap's exact sequence of comparisons is
+        part of the result (see :class:`_StateHeap`).
         """
-        target_set = set()
+        xs, ys = self.xs, self.ys
+        nx, ny = len(xs), len(ys)
+        x_index, y_index = self._x_index, self._y_index
+        target_vertices = set()
         for x, y in targets:
-            i = self._x_index.get(x)
-            j = self._y_index.get(y)
+            i = x_index.get(x)
+            j = y_index.get(y)
             if i is None or j is None:
                 raise ValueError(f"target ({x}, {y}) not on the blockage grid")
-            target_set.add((i, j))
-        if not target_set:
+            target_vertices.add(i * ny + j)
+        if not target_vertices:
             return None
 
-        heap = AddressableHeap()
-        dist: Dict[Tuple[int, int, int], int] = {}
-        parent: Dict[Tuple[int, int, int], Optional[Tuple[int, int, int]]] = {}
+        h_blocked = self._h_blocked
+        v_blocked = self._v_blocked
+        vertex_blocked = self._vertex_blocked
+        east, west, north, south = self._east, self._west, self._north, self._south
+
+        size = 4 * nx * ny
+        dist = [_UNREACHED] * size
+        #: parent[state]: the predecessor state, or ``-1 - v`` when the
+        #: state is a long arc straight out of source vertex v.
+        parent = [0] * size
+        heap = _StateHeap()
+        push, pop = heap.push, heap.pop
 
         for x, y in sources:
-            i = self._x_index.get(x)
-            j = self._y_index.get(y)
+            i = x_index.get(x)
+            j = y_index.get(y)
             if i is None or j is None:
                 raise ValueError(f"source ({x}, {y}) not on the blockage grid")
-            if (i, j) in target_set:
+            v = i * ny + j
+            if v in target_vertices:
                 return (0, [(x, y)])
-            # First segment: a long arc in each direction.
-            for direction in (EAST, WEST, NORTH, SOUTH):
-                arc = self._long_arc_target(i, j, direction)
-                if arc is None:
-                    continue
-                ti, tj, length = arc
-                if (ti, tj) in self.vertex_blocked:
-                    continue
-                state = (ti, tj, direction)
-                if length < dist.get(state, float("inf")):
-                    dist[state] = length
-                    parent[state] = (i, j, -1)  # -1: source marker
-                    heap.push(state, length)
+            # First segment: a long arc in each direction (E, W, N, S).
+            row = j * nx
+            arcs = []
+            k = east[i]
+            if k < nx and 1 not in h_blocked[row + i:row + k]:
+                arcs.append(((k * ny + j) * 4 + EAST, xs[k] - xs[i]))
+            k = west[i]
+            if k >= 0 and 1 not in h_blocked[row + k:row + i]:
+                arcs.append(((k * ny + j) * 4 + WEST, xs[i] - xs[k]))
+            k = north[j]
+            if k < ny and 1 not in v_blocked[v:v + k - j]:
+                arcs.append(((v + k - j) * 4 + NORTH, ys[k] - ys[j]))
+            k = south[j]
+            if k >= 0 and 1 not in v_blocked[v - j + k:v]:
+                arcs.append(((v - j + k) * 4 + SOUTH, ys[j] - ys[k]))
+            for nstate, length in arcs:
+                old = dist[nstate]
+                if not vertex_blocked[nstate >> 2] and length < old:
+                    dist[nstate] = length
+                    parent[nstate] = -1 - v
+                    push(nstate, length, old != _UNREACHED)
 
-        settled = set()
-        final_state: Optional[Tuple[int, int, int]] = None
-        while heap:
-            state, d = heap.pop()
-            if state in settled:
-                continue
-            settled.add(state)
-            i, j, direction = state
-            if (i, j) in target_set:
+        final_state = -1
+        while heap.items:
+            state, d = pop()
+            v = state >> 2
+            if v in target_vertices:
                 final_state = state
                 break
-            # Straight continuation.
-            for cont in self._continuations(i, j, direction):
-                ci, cj, length = cont
-                if (ci, cj) in self.vertex_blocked:
+            i, j = divmod(v, ny)
+            row = j * nx
+            # Straight continuation (one edge on in the same direction),
+            # then the bends: long arcs perpendicular to the incoming
+            # direction, N then S after a horizontal state, E then W
+            # after a vertical one.
+            arcs = []
+            if state & 2 == 0:
+                if state & 1 == 0:
+                    if i + 1 < nx and not h_blocked[row + i]:
+                        arcs.append((state + 4 * ny, xs[i + 1] - xs[i]))
+                elif i > 0 and not h_blocked[row + i - 1]:
+                    arcs.append((state - 4 * ny, xs[i] - xs[i - 1]))
+                k = north[j]
+                if k < ny and 1 not in v_blocked[v:v + k - j]:
+                    arcs.append(((v + k - j) * 4 + NORTH, ys[k] - ys[j]))
+                k = south[j]
+                if k >= 0 and 1 not in v_blocked[v - j + k:v]:
+                    arcs.append(((v - j + k) * 4 + SOUTH, ys[j] - ys[k]))
+            else:
+                if state & 1 == 0:
+                    if j + 1 < ny and not v_blocked[v]:
+                        arcs.append((state + 4, ys[j + 1] - ys[j]))
+                elif j > 0 and not v_blocked[v - 1]:
+                    arcs.append((state - 4, ys[j] - ys[j - 1]))
+                k = east[i]
+                if k < nx and 1 not in h_blocked[row + i:row + k]:
+                    arcs.append(((k * ny + j) * 4 + EAST, xs[k] - xs[i]))
+                k = west[i]
+                if k >= 0 and 1 not in h_blocked[row + k:row + i]:
+                    arcs.append(((k * ny + j) * 4 + WEST, xs[i] - xs[k]))
+            for nstate, length in arcs:
+                if vertex_blocked[nstate >> 2]:
                     continue
-                nstate = (ci, cj, direction)
                 nd = d + length
-                if nd < dist.get(nstate, float("inf")):
+                old = dist[nstate]
+                if nd < old:
                     dist[nstate] = nd
                     parent[nstate] = state
-                    heap.push(nstate, nd)
-            # Bends: long arc perpendicular to the incoming direction.
-            perp = _VERTICAL if direction in _HORIZONTAL else _HORIZONTAL
-            for ndirection in perp:
-                arc = self._long_arc_target(i, j, ndirection)
-                if arc is None:
-                    continue
-                ti, tj, length = arc
-                if (ti, tj) in self.vertex_blocked:
-                    continue
-                nstate = (ti, tj, ndirection)
-                nd = d + length
-                if nd < dist.get(nstate, float("inf")):
-                    dist[nstate] = nd
-                    parent[nstate] = state
-                    heap.push(nstate, nd)
-        if final_state is None:
+                    push(nstate, nd, old != _UNREACHED)
+        if final_state < 0:
             return None
-        # Reconstruct the polyline.
+        # Reconstruct the polyline back to the source vertex.
         points: List[Point] = []
-        state: Optional[Tuple[int, int, int]] = final_state
-        while state is not None:
-            i, j, direction = state
-            points.append((self.xs[i], self.ys[j]))
-            state = parent.get(state)
-            if state is not None and state[2] == -1:
-                points.append((self.xs[state[0]], self.ys[state[1]]))
-                state = None
+        state = final_state
+        while True:
+            i, j = divmod(state >> 2, ny)
+            points.append((xs[i], ys[j]))
+            state = parent[state]
+            if state < 0:
+                i, j = divmod(-1 - state, ny)
+                points.append((xs[i], ys[j]))
+                break
         points.reverse()
         return (dist[final_state], _simplify(points))
 
-    def _continuations(self, i: int, j: int, direction: int):
-        """One-step straight continuation arcs from (i, j, direction)."""
-        if direction == EAST and i + 1 < len(self.xs) and self._h_edge_free(i, j):
-            yield (i + 1, j, self.xs[i + 1] - self.xs[i])
-        elif direction == WEST and i > 0 and self._h_edge_free(i - 1, j):
-            yield (i - 1, j, self.xs[i] - self.xs[i - 1])
-        elif direction == NORTH and j + 1 < len(self.ys) and self._v_edge_free(i, j):
-            yield (i, j + 1, self.ys[j + 1] - self.ys[j])
-        elif direction == SOUTH and j > 0 and self._v_edge_free(i, j - 1):
-            yield (i, j - 1, self.ys[j] - self.ys[j - 1])
+
+class _StateHeap:
+    """Binary min-heap of search states with decrease-key.
+
+    A copy of :class:`repro.util.heap.AddressableHeap` specialised to
+    :meth:`BlockageGrid.shortest_path`: items are int states held in a
+    list parallel to their keys.  Sift-up and sift-down make the same
+    ``<=`` / ``<`` key comparisons in the same order as the generic
+    heap, so equal keys pop in the same order and the search returns
+    the same polyline among equally short ones.  The search lowers the
+    key of a queued state for about 1% of its pushes, so a decrease
+    finds the state with ``list.index`` instead of every sift step
+    maintaining a position map.
+    """
+
+    __slots__ = ("items", "keys")
+
+    def __init__(self) -> None:
+        self.items: List[int] = []
+        self.keys: List[int] = []
+
+    def push(self, state: int, key: int, queued: bool) -> None:
+        """Insert ``state`` with ``key``; with ``queued``, ``state`` is
+        already in the heap and ``key`` lowers its key."""
+        items, keys = self.items, self.keys
+        if queued:
+            at = items.index(state)
+        else:
+            at = len(items)
+            items.append(state)
+            keys.append(key)
+        while at > 0:
+            up = (at - 1) >> 1
+            above = keys[up]
+            if above <= key:
+                break
+            items[at] = items[up]
+            keys[at] = above
+            at = up
+        items[at] = state
+        keys[at] = key
+
+    def pop(self) -> Tuple[int, int]:
+        """Remove and return ``(state, key)`` with the smallest key."""
+        items, keys = self.items, self.keys
+        top, top_key = items[0], keys[0]
+        last, key = items.pop(), keys.pop()
+        size = len(items)
+        if size:
+            at = 0
+            child = 1
+            while child < size:
+                child_key = keys[child]
+                right = child + 1
+                if right < size:
+                    right_key = keys[right]
+                    if right_key < child_key:
+                        child, child_key = right, right_key
+                if key <= child_key:
+                    break
+                items[at] = items[child]
+                keys[at] = child_key
+                at = child
+                child = 2 * at + 1
+            items[at] = last
+            keys[at] = key
+        return top, top_key
 
 
 def _simplify(points: List[Point]) -> List[Point]:

@@ -1,0 +1,173 @@
+"""Golden tie-order test for the blockage-grid search (Sec. 3.8, Alg. 3).
+
+Among several shortest tau-feasible paths the search returns the one its
+heap pops first, and pin-access catalogues (hence the routed wiring) are
+built from those exact polylines.  The pop order is therefore part of
+the output contract, which a length-only property test cannot see.
+
+``blockgrid_golden.json`` holds ~200 seeded random instances (obstacles,
+tau in {1, 40, 80}, one or two sources and targets, including
+unreachable, source == target and blocked-terminal cases) together with
+the ``(length, points)`` the reference kernel returned for each.  The
+test replays every instance and requires the same answer, point for
+point.
+
+Regenerate (only when a results change is intended) with::
+
+    PYTHONPATH=src python tests/test_blockgrid_golden.py
+"""
+
+import json
+import os
+import random
+
+import pytest
+
+from repro.geometry.rect import Rect
+from repro.grid.blockgrid import BlockageGrid, _StateHeap
+from repro.util.heap import AddressableHeap
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "blockgrid_golden.json")
+INSTANCES = 200
+TAUS = (1, 40, 80)
+
+
+def _coord(rng, hi):
+    """Mostly multiples of 10, sometimes an arbitrary offset."""
+    if rng.random() < 0.2:
+        return rng.randint(0, hi)
+    return rng.randint(0, hi // 10) * 10
+
+
+def make_instance(seed):
+    """Seeded random instance: dict of tau, bbox, obstacles, terminals."""
+    rng = random.Random(seed)
+    tau = TAUS[seed % len(TAUS)]
+    width = rng.randint(30, 100) * 10
+    height = rng.randint(30, 100) * 10
+    obstacles = []
+    for _ in range(rng.randint(0, 6)):
+        x = rng.randint(-10, width // 10) * 10
+        y = rng.randint(-10, height // 10) * 10
+        obstacles.append(
+            [x, y, x + rng.randint(1, 30) * 10, y + rng.randint(1, 30) * 10]
+        )
+    sources = [
+        [_coord(rng, width), _coord(rng, height)]
+        for _ in range(1 if rng.random() < 0.8 else 2)
+    ]
+    targets = [
+        [_coord(rng, width), _coord(rng, height)]
+        for _ in range(1 if rng.random() < 0.8 else 2)
+    ]
+    kind = seed % 10
+    if kind == 0:
+        # Source == target.
+        targets[0] = list(sources[0])
+    elif kind == 1 and obstacles:
+        # A terminal strictly inside an obstacle.
+        x_lo, y_lo, x_hi, y_hi = obstacles[0]
+        point = [
+            min(max((x_lo + x_hi) // 2, 0), width),
+            min(max((y_lo + y_hi) // 2, 0), height),
+        ]
+        if rng.random() < 0.5:
+            targets[0] = point
+        else:
+            sources[0] = point
+    elif kind == 2:
+        # Source walled in: no tau-feasible connection to the outside.
+        sx, sy = sources[0] = [width // 2, height // 2]
+        r, t = 100 + rng.randint(0, 10) * 10, 20
+        obstacles += [
+            [sx - r, sy - r, sx + r, sy - r + t],
+            [sx - r, sy + r - t, sx + r, sy + r],
+            [sx - r, sy - r, sx - r + t, sy + r],
+            [sx + r - t, sy - r, sx + r, sy + r],
+        ]
+        targets = [[0, 0]]
+    return {
+        "seed": seed,
+        "tau": tau,
+        "bbox": [0, 0, width, height],
+        "obstacles": obstacles,
+        "sources": sources,
+        "targets": targets,
+    }
+
+
+def solve(instance):
+    """Run the blockage-grid search on one instance; JSON-shaped answer."""
+    sources = [tuple(p) for p in instance["sources"]]
+    targets = [tuple(p) for p in instance["targets"]]
+    grid = BlockageGrid(
+        [Rect(*r) for r in instance["obstacles"]],
+        instance["tau"],
+        Rect(*instance["bbox"]),
+        sources + targets,
+    )
+    result = grid.shortest_path(sources, targets)
+    if result is None:
+        return None
+    length, points = result
+    return [length, [list(p) for p in points]]
+
+
+def _load():
+    with open(FIXTURE) as fh:
+        return json.load(fh)["cases"]
+
+
+CASES = _load() if os.path.exists(FIXTURE) else []
+
+
+def test_fixture_covers_the_edge_cases():
+    assert len(CASES) == INSTANCES
+    answers = [case["answer"] for case in CASES]
+    assert any(a is None for a in answers), "no unreachable case"
+    assert any(a is not None and a[0] == 0 for a in answers), "no source == target"
+    assert any(a is not None and len(a[1]) >= 4 for a in answers), "no multi-bend path"
+    assert {case["instance"]["tau"] for case in CASES} == set(TAUS)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[str(c["instance"]["seed"]) for c in CASES])
+def test_reproduces_golden_answer(case):
+    assert solve(case["instance"]) == case["answer"]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_state_heap_pops_like_addressable_heap(seed):
+    """Same pushes, decrease-keys and pops, with many equal keys: the
+    grid's heap must pop exactly what the generic heap pops."""
+    rng = random.Random(seed)
+    reference, heap = AddressableHeap(), _StateHeap()
+    keys = {}
+    for _ in range(400):
+        if heap.items and rng.random() < 0.35:
+            state, key = heap.pop()
+            assert reference.pop() == (state, key)
+            keys[state] = -1  # settled: never pushed again
+            continue
+        state = rng.randrange(60)
+        key = rng.randrange(8)
+        old = keys.get(state)
+        if old == -1 or (old is not None and key >= old):
+            continue
+        keys[state] = key
+        reference.push(state, key)
+        heap.push(state, key, old is not None)
+    while heap.items:
+        assert reference.pop() == heap.pop()
+    assert not reference
+
+
+if __name__ == "__main__":
+    cases = []
+    for seed in range(INSTANCES):
+        instance = make_instance(seed)
+        cases.append({"instance": instance, "answer": solve(instance)})
+    with open(FIXTURE, "w") as fh:
+        fh.write('{"cases": [\n')
+        fh.write(",\n".join(json.dumps(case, separators=(",", ":")) for case in cases))
+        fh.write("\n]}\n")
+    print(f"wrote {len(cases)} cases to {FIXTURE}")

@@ -1,5 +1,7 @@
 """Tests for off-track pin access (Sec. 4.3, Fig. 7)."""
 
+import hashlib
+
 import pytest
 
 from repro.chip.cells import CellTemplate, CircuitInstance
@@ -7,9 +9,11 @@ from repro.chip.design import Chip
 from repro.chip.generator import ChipSpec, generate_chip
 from repro.chip.net import Net, Pin
 from repro.droute.pinaccess import AccessPath, PinAccessPlanner
+from repro.droute.router import DetailedRouter
 from repro.droute.space import RoutingSpace
 from repro.geometry.rect import Rect
 from repro.grid.blockgrid import min_segment_length
+from repro.obs import OBS
 from repro.tech.stacks import example_rules, example_stack, example_wiretypes
 
 
@@ -62,6 +66,67 @@ class TestCatalogue:
                 abs(a[0] - b[0]) + abs(a[1] - b[1])
                 for a, b in zip(path.points, path.points[1:])
             )
+
+
+class TestGridSearchReuse:
+    def test_one_search_per_endpoint_position(self, space):
+        """Endpoints sharing an (x, y) on two layers share one search."""
+        pin = space.chip.nets[0].pins[0]
+        # Uncapped endpoints and paths: every vertex in the window is a
+        # candidate and no early exit skips a search.
+        planner = PinAccessPlanner(space, max_endpoints=10_000, max_paths=10_000)
+        pitch = space.chip.stack[pin.layers[0]].pitch
+        window = pin.bounding_box().expanded(planner.radius_pitches * pitch)
+        graph = space.graph
+        positions = []
+        for z in (pin.layers[0], pin.layers[0] + 1):
+            for vertex in graph.vertices_in_rect(
+                z, window.x_lo, window.y_lo, window.x_hi, window.y_hi
+            ):
+                positions.append(graph.position(vertex)[:2])
+        assert len(set(positions)) < len(positions), "no shared positions"
+        OBS.reset()
+        OBS.configure(enabled=True)
+        try:
+            planner.build_catalogue(pin)
+            searches = OBS.counters.get("pinaccess.grid_searches", 0)
+        finally:
+            OBS.reset()
+            OBS.enabled = False
+        assert searches == len(set(positions))
+
+
+#: sha256 of every catalogue DetailedRouter preprocessing builds on the
+#: eco_edits benchmark chip, recorded with the per-endpoint search and
+#: the generic addressable heap; any change to a path's points, length,
+#: endpoint or via (including which of several equally short polylines
+#: is returned) changes it.
+ECO_CATALOGUE_DIGEST = (
+    "ce1eb227dcc67f04db32e27e88a8120f0f3b3906b9ce7300739e86cf325aa50a"
+)
+
+
+class TestCatalogueDigest:
+    def test_eco_chip_catalogues_unchanged(self):
+        chip = generate_chip(
+            ChipSpec("eco_edits", rows=2, row_width_cells=5, net_count=8, seed=3)
+        )
+        router = DetailedRouter(RoutingSpace(chip))
+        build = router.planner.build_catalogue
+        records = []
+
+        def recording_build(pin, radius_pitches=None):
+            paths = build(pin, radius_pitches)
+            for p in paths:
+                via = None if p.via is None else (p.via.via_layer, p.via.x, p.via.y)
+                records.append((pin.name, p.points, p.length, p.endpoint, via))
+            return paths
+
+        router.planner.build_catalogue = recording_build
+        router.preprocess_pin_access(chip.nets)
+        assert records
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()
+        assert digest == ECO_CATALOGUE_DIGEST
 
 
 class TestConflictFreeSolution:

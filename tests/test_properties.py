@@ -148,18 +148,7 @@ class TestBlockageGridVsBruteForce:
                 break
             if d > dist.get((i, j), 1 << 60):
                 continue
-            moves = []
-            if i + 1 < len(xs) and grid._h_edge_free(i, j):
-                moves.append(((i + 1, j), xs[i + 1] - xs[i]))
-            if i > 0 and grid._h_edge_free(i - 1, j):
-                moves.append(((i - 1, j), xs[i] - xs[i - 1]))
-            if j + 1 < len(ys) and grid._v_edge_free(i, j):
-                moves.append(((i, j + 1), ys[j + 1] - ys[j]))
-            if j > 0 and grid._v_edge_free(i, j - 1):
-                moves.append(((i, j - 1), ys[j] - ys[j - 1]))
-            for (ni, nj), cost in moves:
-                if (ni, nj) in grid.vertex_blocked:
-                    continue
+            for (ni, nj), cost in grid.lattice_moves(i, j):
                 nd = d + cost
                 if nd < dist.get((ni, nj), 1 << 60):
                     dist[(ni, nj)] = nd
