@@ -3,15 +3,23 @@
 Caches, for a small set of frequently used wire types, the legality of the
 four shape types {preferred-direction wire, jog, via down, via up} at
 on-track locations, so the on-track path search rarely needs the (much
-slower) distance rule checking module.  Words are computed lazily and kept
-per track in *packed* per-track arrays; every shape insertion or removal
-invalidates the affected region by clearing validity bits and bumping
-generation counters (epochs) instead of popping dict entries.
+slower) distance rule checking module.  Words are kept per track in
+*packed* per-track arrays and filled field by field: a band sweep
+(:meth:`FastGrid.ensure_words`) fills the wire and jog fields of a track
+segment, the two ``check_metal`` calls on the vertex's own layer; every
+other field is computed individually on its first read.  A via edge's
+two fields (via up below, via down above) are one check, so one fill
+serves both.  Every shape
+insertion or removal invalidates the affected region by clearing
+validity bits and bumping generation counters (epochs) instead of
+popping dict entries.
 
 Storage layout: one uint16 word per vertex, four legal bits (bit ``i`` for
 ``SHAPE_TYPES[i]``) plus four 3-bit ripup fields (bits ``4 + 3i``), with
-``RIPUP_FIXED`` encoded as 7.  The arrays are numpy when available and the
-grid is constructed ``vectorized``; otherwise a pure-python
+``RIPUP_FIXED`` encoded as 7, and one 4-bit validity mask per vertex
+(bit ``i`` set once field ``i`` is computed).  The arrays are numpy
+(``uint16`` words, ``uint8`` masks) when available and the grid is
+constructed ``vectorized``; otherwise a pure-python
 ``array('H')``/``bytearray`` fallback keeps numpy optional (mirroring the
 path-search label arrays).
 
@@ -23,11 +31,16 @@ bit* at a vertex forces a direct shape-grid query for its incident edges
 searches over an unchanged region stop re-querying the shape grid.
 
 Counter semantics (normalized): ``hits``/``misses`` count *vertex-word
-lookups* (a batch fill counts one miss per word computed and one hit per
-word reused); ``fastgrid.queries`` counts *edge* queries, so hits may
-legitimately exceed queries.  ``fastgrid.interval_cache_hits`` and
-``fastgrid.segment_cache_hits`` count reuse in the two cross-search memo
-layers on top of the words themselves.
+lookups*.  A band fill counts one miss per vertex whose wire and jog
+fields it computes and one hit per vertex it reuses; a single-field read
+counts one hit, or one miss when it fills that field lazily (the
+partner field a via fill also sets then reads as a hit).
+``fastgrid.queries`` counts *edge* queries, so hits may legitimately
+exceed queries.  ``fastgrid.checks`` counts the ``check_metal`` /
+``check_via`` calls the grid runs (the work behind the misses).
+``fastgrid.interval_cache_hits`` and ``fastgrid.segment_cache_hits``
+count reuse in the two cross-search memo layers on top of the words
+themselves.
 """
 
 from __future__ import annotations
@@ -62,18 +75,29 @@ Word = Tuple[Tuple[bool, int], ...]
 #: beyond the encodable range) as 7.
 _RIPUP_FIXED_ENC = 7
 
+#: Word bits (legal bit + ripup field) of each shape type.
+_FIELD_BITS = tuple((1 << i) | (7 << (4 + 3 * i)) for i in range(4))
+
+#: Validity bits of the *band fields* — wire and jog, the fields a band
+#: sweep fills — and their word bits.
+_BAND_VALID = 0b0011
+_BAND_BITS = _FIELD_BITS[0] | _FIELD_BITS[1]
+
+
+def _pack_field(i: int, legal: bool, needed: int) -> int:
+    """Word bits of field ``i`` (``SHAPE_TYPES[i]``)."""
+    if needed == RIPUP_FIXED or needed > 6 or needed < 0:
+        enc = _RIPUP_FIXED_ENC
+    else:
+        enc = int(needed)
+    return (1 << i if legal else 0) | (enc << (4 + 3 * i))
+
 
 def pack_word(word: Word) -> int:
     """Pack a 4-entry legality word into one uint16."""
     bits = 0
     for i, (legal, needed) in enumerate(word):
-        if legal:
-            bits |= 1 << i
-        if needed == RIPUP_FIXED or needed > 6 or needed < 0:
-            enc = _RIPUP_FIXED_ENC
-        else:
-            enc = int(needed)
-        bits |= enc << (4 + 3 * i)
+        bits |= _pack_field(i, legal, needed)
     return bits
 
 
@@ -88,14 +112,14 @@ def unpack_word(bits: int) -> Word:
 
 
 class _TrackWords:
-    """Packed words + validity bits for one (wire type, layer, track)."""
+    """Packed words + per-field validity masks for one (wire type, layer, track)."""
 
     __slots__ = ("words", "valid")
 
     def __init__(self, ncross: int, vectorized: bool) -> None:
         if vectorized:
             self.words = _np.zeros(ncross, dtype=_np.uint16)
-            self.valid = _np.zeros(ncross, dtype=bool)
+            self.valid = _np.zeros(ncross, dtype=_np.uint8)
         else:
             self.words = array("H", bytes(2 * ncross))
             self.valid = bytearray(ncross)
@@ -180,47 +204,52 @@ class FastGrid:
     # ------------------------------------------------------------------
     # Word computation
     # ------------------------------------------------------------------
-    def _compute_word(
-        self, wire_type: WireType, vertex: Vertex, prefetched=None
-    ) -> Word:
+    def _compute_shape(
+        self, wire_type: WireType, vertex: Vertex, i: int, prefetched=None
+    ) -> Tuple[bool, int]:
+        """Field ``i`` (``SHAPE_TYPES[i]``) of the word at ``vertex``.
+
+        ``prefetched`` optionally maps ``("wiring", z)`` to the band a
+        sweep prefetched; the wire and jog checks filter it by their own
+        windows, with the same result as an individual query.
+        """
         x, y, z = self.graph.position(vertex)
-        checks: List[Tuple[bool, int]] = []
         stack = self.graph.stack
-        point = StickFigure(z, x, y, x, y)
-        wiring_entries = (
-            None if prefetched is None else prefetched.get(("wiring", z))
-        )
-        for shape_type in SHAPE_TYPES:
-            check: Optional[PlacementCheck] = None
-            if shape_type == "wire":
-                if wire_type.has_layer(z):
+        check: Optional[PlacementCheck] = None
+        if i < 2:  # wire, jog: metal shapes on the vertex's layer
+            if wire_type.has_layer(z):
+                point = StickFigure(z, x, y, x, y)
+                if i == 0:
                     shape, cls, _ = wire_type.wire_shape(point, stack)
-                    check = self.checker.check_metal(
-                        z, shape, cls.rule_width, None, prefetched=wiring_entries
-                    )
-            elif shape_type == "jog":
-                if wire_type.has_layer(z):
+                    rule_width = cls.rule_width
+                else:
                     model = wire_type.nonpreferred_model(z)
                     shape = model.metal_shape(point, stack.direction(z))
-                    check = self.checker.check_metal(
-                        z, shape, model.shape_class.rule_width, None,
-                        prefetched=wiring_entries,
-                    )
-            elif shape_type == "via_down":
-                if stack.has_layer(z - 1) and wire_type.has_via_layer(z - 1):
-                    check = self.checker.check_via(
-                        wire_type, z - 1, x, y, None, prefetched=prefetched
-                    )
-            else:  # via_up
-                if stack.has_layer(z + 1) and wire_type.has_via_layer(z):
-                    check = self.checker.check_via(
-                        wire_type, z, x, y, None, prefetched=prefetched
-                    )
-            if check is None:
-                checks.append((False, RIPUP_FIXED))
-            else:
-                checks.append((check.legal, check.max_ripup_needed))
-        return tuple(checks)
+                    rule_width = model.shape_class.rule_width
+                check = self.checker.check_metal(
+                    z, shape, rule_width, None,
+                    prefetched=(
+                        None if prefetched is None
+                        else prefetched.get(("wiring", z))
+                    ),
+                )
+        elif i == 2:  # via down
+            if stack.has_layer(z - 1) and wire_type.has_via_layer(z - 1):
+                check = self.checker.check_via(wire_type, z - 1, x, y, None)
+        elif stack.has_layer(z + 1) and wire_type.has_via_layer(z):  # via up
+            check = self.checker.check_via(wire_type, z, x, y, None)
+        if check is None:
+            return (False, RIPUP_FIXED)
+        if OBS.enabled:
+            OBS.count("fastgrid.checks")
+        return (check.legal, check.max_ripup_needed)
+
+    def _compute_word(self, wire_type: WireType, vertex: Vertex) -> Word:
+        """All four fields at ``vertex``, each checked individually."""
+        return tuple(
+            self._compute_shape(wire_type, vertex, i)
+            for i in range(len(SHAPE_TYPES))
+        )
 
     def _track_words(self, wire_type_name: str, z: int, t: int) -> _TrackWords:
         key = (wire_type_name, z, t)
@@ -233,69 +262,89 @@ class FastGrid:
     def ensure_words(
         self, wire_type_name: str, z: int, t: int, c_lo: int, c_hi: int
     ) -> int:
-        """Batch-fill the word arrays for a track segment.
+        """Batch-fill the band fields (wire, jog) of a track segment.
 
-        One shape-grid traversal per (kind, layer) band replaces the
-        per-vertex traversals; each vertex's checks then filter the
-        prefetched entries by its own query window, giving results
-        identical to individual :meth:`word` calls.  Returns the number
-        of words actually computed (invalid before the call).
+        Both are ``check_metal`` calls on layer ``z``, so one shape-grid
+        traversal of the ``("wiring", z)`` band replaces the per-vertex
+        traversals; each vertex's checks then filter the prefetched
+        entries by their own query windows, giving results identical to
+        individual checks.  Via fields are left to fill on first read.
+        Returns the number of vertices whose band fields were computed
+        (invalid before the call).
         """
         if not self.enabled or c_lo > c_hi:
             return 0
         tw = self._track_words(wire_type_name, z, t)
+        valid = tw.valid
         if self.vectorized:
+            band_valid = valid[c_lo:c_hi + 1] & _BAND_VALID
             missing = [
                 int(i) + c_lo
-                for i in _np.flatnonzero(~tw.valid[c_lo:c_hi + 1])
+                for i in _np.flatnonzero(band_valid != _BAND_VALID)
             ]
         else:
-            valid = tw.valid
-            missing = [c for c in range(c_lo, c_hi + 1) if not valid[c]]
+            missing = [
+                c for c in range(c_lo, c_hi + 1)
+                if (valid[c] & _BAND_VALID) != _BAND_VALID
+            ]
         if not missing:
             return 0
         wire_type = self.wire_types[wire_type_name]
         graph = self.graph
-        stack = graph.stack
         x0, y0, _ = graph.position((z, t, missing[0]))
         x1, y1, _ = graph.position((z, t, missing[-1]))
         band = Rect(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
-        prefetched = {}
-        for layer in (z - 1, z, z + 1):
-            if not stack.has_layer(layer):
-                continue
-            margin = (
-                self.checker.rules.max_interaction_distance(layer)
-                + 4 * stack[layer].pitch
-            )
-            prefetched[("wiring", layer)] = PrefetchedBand(
-                self.checker.prefetch_entries("wiring", layer, band.expanded(margin)),
+        margin = (
+            self.checker.rules.max_interaction_distance(z)
+            + 4 * graph.stack[z].pitch
+        )
+        prefetched = {
+            ("wiring", z): PrefetchedBand(
+                self.checker.prefetch_entries("wiring", z, band.expanded(margin)),
                 axis_x=band.width >= band.height,
             )
-        for via_layer in (z - 1, z):
-            if via_layer in stack.via_layers():
-                margin = 4 * stack[via_layer].pitch
-                prefetched[("via", via_layer)] = PrefetchedBand(
-                    self.checker.prefetch_entries(
-                        "via", via_layer, band.expanded(margin)
-                    ),
-                    axis_x=band.width >= band.height,
-                )
-        words = tw.words
-        valid = tw.valid
+        }
+        compute = self._compute_shape
+        band_bits = []
         for c in missing:
-            words[c] = pack_word(
-                self._compute_word(wire_type, (z, t, c), prefetched=prefetched)
-            )
-            valid[c] = True
+            vertex = (z, t, c)
+            wire = compute(wire_type, vertex, 0, prefetched)
+            jog = compute(wire_type, vertex, 1, prefetched)
+            band_bits.append(_pack_field(0, *wire) | _pack_field(1, *jog))
+        # Keep any via field an earlier single read already filled.
+        words = tw.words
+        keep = 0xFFFF ^ _BAND_BITS
+        if self.vectorized:
+            idx = _np.asarray(missing)
+            words[idx] = (words[idx] & keep) | _np.asarray(band_bits, _np.uint16)
+            valid[idx] |= _BAND_VALID
+        else:
+            for c, bits in zip(missing, band_bits):
+                words[c] = (words[c] & keep) | bits
+                valid[c] |= _BAND_VALID
         self.misses += len(missing)
         if OBS.enabled:
             OBS.count("fastgrid.misses", len(missing))
             OBS.count("fastgrid.words_prefetched", len(missing))
         return len(missing)
 
-    def _packed(self, wire_type_name: str, vertex: Vertex) -> int:
-        """Packed legality word at a vertex, from cache or computed."""
+    def _packed(
+        self,
+        wire_type_name: str,
+        vertex: Vertex,
+        i: int,
+        partner: Optional[Vertex] = None,
+    ) -> int:
+        """Packed word at a vertex with field ``i`` valid.
+
+        A missing field is computed individually and stored with its
+        validity bit; other fields of the returned bits may be stale.
+        ``partner`` must be the via partner of ``vertex`` (the vertex at
+        the same point on the adjacent layer): its opposite via field is
+        the same check, so a computed via field also fills the
+        partner's when that one is missing.  A disabled grid computes
+        the whole word on every call.
+        """
         wire_type = self.wire_types[wire_type_name]
         if not self.enabled:
             self.misses += 1
@@ -304,7 +353,8 @@ class FastGrid:
             return pack_word(self._compute_word(wire_type, vertex))
         z, t, c = vertex
         tw = self._track_words(wire_type_name, z, t)
-        if tw.valid[c]:
+        mask = tw.valid[c]
+        if (mask >> i) & 1:
             self.hits += 1
             if OBS.enabled:
                 OBS.count("fastgrid.hits")
@@ -312,38 +362,75 @@ class FastGrid:
         self.misses += 1
         if OBS.enabled:
             OBS.count("fastgrid.misses")
-        bits = pack_word(self._compute_word(wire_type, vertex))
+        check = self._compute_shape(wire_type, vertex, i)
+        bits = self._store_field(tw, c, i, check)
+        if partner is not None:
+            j = 5 - i  # via_up <-> via_down
+            ptw = self._track_words(wire_type_name, partner[0], partner[1])
+            if not (ptw.valid[partner[2]] >> j) & 1:
+                self._store_field(ptw, partner[2], j, check)
+        return bits
+
+    @staticmethod
+    def _store_field(
+        tw: _TrackWords, c: int, i: int, check: Tuple[bool, int]
+    ) -> int:
+        """Store field ``i`` at cross ``c``, set its validity bit, and
+        return the vertex's updated word."""
+        bits = (int(tw.words[c]) & (0xFFFF ^ _FIELD_BITS[i])) | _pack_field(
+            i, *check
+        )
         tw.words[c] = bits
-        tw.valid[c] = True
+        tw.valid[c] = tw.valid[c] | (1 << i)
         return bits
 
     def word(self, wire_type_name: str, vertex: Vertex) -> Word:
         """Legality word at a vertex, from cache or freshly computed.
 
-        The word is computed net-blind (net=None): any foreign *or own*
-        shape in range counts.  The path search treats the source/target
-        components specially by temporarily removing their shapes
-        (Sec. 4.4), so net-blind words stay correct.
+        Reads all four fields (one lookup each).  The word is computed
+        net-blind (net=None): any foreign *or own* shape in range counts.
+        The path search treats the source/target components specially by
+        temporarily removing their shapes (Sec. 4.4), so net-blind words
+        stay correct.
         """
-        return unpack_word(self._packed(wire_type_name, vertex))
+        if not self.enabled:
+            return unpack_word(self._packed(wire_type_name, vertex, 0))
+        for i in range(len(SHAPE_TYPES)):
+            bits = self._packed(wire_type_name, vertex, i)
+        return unpack_word(bits)
 
     def cached_word(
         self, wire_type_name: str, z: int, t: int, c: int
-    ) -> Optional[Word]:
-        """The stored word at (z, t, c), or None when not cached.
+    ) -> Optional[Tuple[Optional[Tuple[bool, int]], ...]]:
+        """The stored fields at (z, t, c), or None when not cached.
 
-        Read-only introspection for tests and stats — never computes.
+        A vertex counts as *cached* once its band fields (wire, jog) are
+        filled; :meth:`cached_word_count` and :meth:`interval_count` use
+        the same meaning.  Via fields not yet read are None.  Read-only
+        introspection for tests and stats — never computes.
         """
         tw = self._tracks.get((wire_type_name, z, t))
-        if tw is None or not tw.valid[c]:
+        if tw is None:
             return None
-        return unpack_word(int(tw.words[c]))
+        mask = int(tw.valid[c])
+        if (mask & _BAND_VALID) != _BAND_VALID:
+            return None
+        return tuple(
+            field if (mask >> i) & 1 else None
+            for i, field in enumerate(unpack_word(int(tw.words[c])))
+        )
 
     def cached_word_count(self) -> int:
-        """Number of currently valid cached words across all tracks."""
+        """Number of cached vertices (band fields filled) over all tracks."""
         if self.vectorized:
-            return sum(int(tw.valid.sum()) for tw in self._tracks.values())
-        return sum(sum(tw.valid) for tw in self._tracks.values())
+            return sum(
+                int(((tw.valid & _BAND_VALID) == _BAND_VALID).sum())
+                for tw in self._tracks.values()
+            )
+        return sum(
+            sum(1 for mask in tw.valid if (mask & _BAND_VALID) == _BAND_VALID)
+            for tw in self._tracks.values()
+        )
 
     # ------------------------------------------------------------------
     # Usability queries used by the path search
@@ -357,19 +444,18 @@ class FastGrid:
         shapes up to that ripup level may be assumed removable.
         """
         i = _SHAPE_INDEX[shape_type]
-        bits = self._packed(wire_type_name, vertex)
+        return self._field_usable(
+            self._packed(wire_type_name, vertex, i), i, ripup_level
+        )
+
+    @staticmethod
+    def _field_usable(bits: int, i: int, ripup_level: int) -> bool:
         if (bits >> i) & 1:
             return True
         if ripup_level < 0:
             return False
         enc = (bits >> (4 + 3 * i)) & 7
         return enc != _RIPUP_FIXED_ENC and enc <= ripup_level
-
-    def vertex_needs_ripup(
-        self, wire_type_name: str, vertex: Vertex, shape_type: str
-    ) -> bool:
-        i = _SHAPE_INDEX[shape_type]
-        return not (self._packed(wire_type_name, vertex) >> i) & 1
 
     def edge_usable(
         self,
@@ -389,8 +475,13 @@ class FastGrid:
         if kind == "via":
             upper_vertex = v if v[0] > w[0] else w
             lower_vertex = w if v[0] > w[0] else v
-            return self.vertex_usable(
-                wire_type_name, lower_vertex, "via_up", ripup_level
+            # The lower via_up and the upper via_down are one check: a
+            # miss on the first fills both.
+            via_up = _SHAPE_INDEX["via_up"]
+            return self._field_usable(
+                self._packed(wire_type_name, lower_vertex, via_up, upper_vertex),
+                via_up,
+                ripup_level,
             ) and self.vertex_usable(
                 wire_type_name, upper_vertex, "via_down", ripup_level
             )
@@ -418,6 +509,8 @@ class FastGrid:
             xw, yw, _ = self.graph.position(w)
             stick = StickFigure(z, xv, yv, xw, yw)
             check = self.checker.check_wire(wire_type, stick, None)
+            if OBS.enabled:
+                OBS.count("fastgrid.checks")
             legal, needed = check.legal, check.max_ripup_needed
             if len(self._segment_memo) >= 65536:
                 self._segment_memo.clear()
@@ -466,7 +559,7 @@ class FastGrid:
             if not self.enabled:
                 state = [
                     self._state_for_bits(
-                        self._packed(wire_type_name, (z, t, c)), ripup_level
+                        self._packed(wire_type_name, (z, t, c), 0), ripup_level
                     )
                     for c in range(c_lo, c_hi + 1)
                 ]
@@ -545,7 +638,8 @@ class FastGrid:
 
         Via legality on adjacent layers depends on shapes here, so the
         invalidation spans layers ``layer - 1 .. layer + 1``.  Validity
-        bits are cleared with one slice store per cached track, the
+        masks (all four fields) are cleared with one slice store per
+        cached track, the
         global epoch is bumped once (invalidating the segment memo), and
         each touched track's epoch is bumped (invalidating interval-cache
         runs).  With ``off_track`` set, the affected vertices additionally
@@ -573,19 +667,12 @@ class FastGrid:
             c_lo, c_hi = cross_range[0], cross_range[-1]
             for t in track_range:
                 track_epochs[(z, t)] = track_epochs.get((z, t), 0) + 1
-            if self.vectorized:
-                for wt_name in self.wire_types:
-                    for t in track_range:
-                        tw = self._tracks.get((wt_name, z, t))
-                        if tw is not None:
-                            tw.valid[c_lo:c_hi + 1] = False
-            else:
-                for wt_name in self.wire_types:
-                    for t in track_range:
-                        tw = self._tracks.get((wt_name, z, t))
-                        if tw is not None:
-                            for c in range(c_lo, c_hi + 1):
-                                tw.valid[c] = 0
+            cleared = 0 if self.vectorized else bytes(c_hi - c_lo + 1)
+            for wt_name in self.wire_types:
+                for t in track_range:
+                    tw = self._tracks.get((wt_name, z, t))
+                    if tw is not None:
+                        tw.valid[c_lo:c_hi + 1] = cleared
             if off_track:
                 for t in track_range:
                     dirty = self._dirty.setdefault((z, t), set())
@@ -625,19 +712,25 @@ class FastGrid:
 
         This is the storage unit of the real fast grid (Fig. 4); we keep
         per-vertex word arrays for simplicity but report the interval
-        statistic they would compress to.  Tracks iterate in stored
-        (array) order — no per-call sorting.
+        statistic they would compress to.  Runs are taken over cached
+        vertices (band fields filled, as in :meth:`cached_word`) and
+        compare the band fields only, so the count does not depend on
+        which via fields happen to have been read.  Tracks iterate in
+        stored (array) order — no per-call sorting.
         """
         count = 0
         if self.vectorized:
             for tw in self._tracks.values():
-                valid_idx = _np.flatnonzero(tw.valid)
+                valid_idx = _np.flatnonzero(
+                    (tw.valid & _BAND_VALID) == _BAND_VALID
+                )
                 if len(valid_idx) == 0:
                     continue
                 count += 1
                 if len(valid_idx) > 1:
+                    band = tw.words[valid_idx] & _BAND_BITS
                     contiguous = valid_idx[1:] == valid_idx[:-1] + 1
-                    same = tw.words[valid_idx[1:]] == tw.words[valid_idx[:-1]]
+                    same = band[1:] == band[:-1]
                     count += int((~(contiguous & same)).sum())
             return count
         for tw in self._tracks.values():
@@ -646,9 +739,9 @@ class FastGrid:
             valid = tw.valid
             words = tw.words
             for c in range(len(valid)):
-                if not valid[c]:
+                if (valid[c] & _BAND_VALID) != _BAND_VALID:
                     continue
-                word = words[c]
+                word = words[c] & _BAND_BITS
                 if previous_c is None or c != previous_c + 1 or word != previous_word:
                     count += 1
                 previous_c = c

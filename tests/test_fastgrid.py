@@ -46,14 +46,109 @@ class TestWords:
         # "wide" is not allowed on layer 1 at all.
         assert not space.fast_grid.vertex_usable("wide", vertex, "wire")
 
-    def test_batch_matches_individual(self, space):
-        fast = space.fast_grid
+    def test_batch_matches_individual(self):
+        """The band sweep's fields equal individual checks; so do the via
+        fields it leaves, once their first read fills them."""
+        spec = ChipSpec("fgbatch", rows=2, row_width_cells=4, net_count=4, seed=3)
+        fast = RoutingSpace(generate_chip(spec)).fast_grid
+        wire_type = fast.wire_types["default"]
         z, t = 3, 1
         fast.ensure_words("default", z, t, 0, 10)
         for c in range(0, 11):
             cached = fast.cached_word("default", z, t, c)
-            fresh = fast._compute_word(fast.wire_types["default"], (z, t, c))
-            assert cached == fresh, f"batched word differs at c={c}"
+            fresh = fast._compute_word(wire_type, (z, t, c))
+            assert cached[:2] == fresh[:2], f"batched word differs at c={c}"
+            assert cached[2:] == (None, None), f"via field filled at c={c}"
+            fast.vertex_usable("default", (z, t, c), "via_down")
+            fast.vertex_usable("default", (z, t, c), "via_up")
+            cached = fast.cached_word("default", z, t, c)
+            assert cached == fresh, f"lazily filled word differs at c={c}"
+
+
+class _CountingChecker:
+    """Counts a checker's ``check_metal``/``check_via`` calls."""
+
+    def __init__(self, checker):
+        self.calls = {"check_metal": 0, "check_via": 0}
+        for name in self.calls:
+            original = getattr(checker, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                self.calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            setattr(checker, name, counted)
+
+
+class TestLazyFields:
+    """Band sweeps fill wire and jog; via fields fill on first read."""
+
+    @pytest.fixture()
+    def fresh(self):
+        spec = ChipSpec("fglazy", rows=2, row_width_cells=4, net_count=4, seed=3)
+        space = RoutingSpace(generate_chip(spec))
+        return space, _CountingChecker(space.checker)
+
+    def test_band_sweep_runs_no_via_check(self, fresh):
+        space, counter = fresh
+        computed = space.fast_grid.ensure_words("default", 3, 2, 0, 20)
+        assert computed == 21
+        assert counter.calls["check_via"] == 0
+        # Wire and jog: one check_metal each per computed vertex.
+        assert counter.calls["check_metal"] == 2 * computed
+
+    def test_one_via_read_fills_only_that_field(self, fresh):
+        space, counter = fresh
+        fast = space.fast_grid
+        z, t, c = _some_vertex(space)
+        fast.ensure_words("default", z, t, c, c)
+        fast.vertex_usable("default", (z, t, c), "via_up")
+        assert counter.calls["check_via"] == 1
+        word = fast.cached_word("default", z, t, c)
+        assert word[0] is not None and word[1] is not None
+        assert word[2] is None and word[3] is not None
+        # Reading it again is a hit: no further check.
+        misses = fast.misses
+        fast.vertex_usable("default", (z, t, c), "via_up")
+        assert counter.calls["check_via"] == 1
+        assert fast.misses == misses
+
+    def test_via_edge_fills_both_fields_with_one_check(self, fresh):
+        space, counter = fresh
+        fast = space.fast_grid
+        wire_type = fast.wire_types["default"]
+        lower = _some_vertex(space)
+        upper = space.graph.via_partner(lower, lower[0] + 1)
+        assert upper is not None
+        misses, hits = fast.misses, fast.hits
+        usable = fast.edge_usable("default", lower, upper, "via")
+        # The lower via_up and the upper via_down are the same via check.
+        assert counter.calls["check_via"] == 1
+        lower_tw = fast._tracks[("default",) + lower[:2]]
+        upper_tw = fast._tracks[("default",) + upper[:2]]
+        assert lower_tw.valid[lower[2]] == 0b1000  # via_up only
+        assert upper_tw.valid[upper[2]] == 0b0100  # via_down only
+        # Band fields missing: the vertices do not count as cached.
+        assert fast.cached_word("default", *lower) is None
+        if usable:  # the upper field is read only when the lower passes
+            assert (fast.misses - misses, fast.hits - hits) == (1, 1)
+        assert fast.word("default", lower)[3] == fast._compute_word(
+            wire_type, lower
+        )[3]
+        assert fast.word("default", upper)[2] == fast._compute_word(
+            wire_type, upper
+        )[2]
+
+    def test_invalidate_clears_all_four_fields(self, fresh):
+        space, _ = fresh
+        fast = space.fast_grid
+        vertex = _some_vertex(space)
+        fast.word("default", vertex)
+        assert None not in fast.cached_word("default", *vertex)
+        x, y, z = space.graph.position(vertex)
+        fast.invalidate_region(z, Rect(x, y, x, y))
+        assert fast._tracks[("default",) + vertex[:2]].valid[vertex[2]] == 0
+        assert fast.cached_word("default", *vertex) is None
 
 
 class TestInvalidation:

@@ -5,7 +5,9 @@
 * distance-rule checker cross-validation: a placement the checker calls
   legal never creates a spacing violation the DRC checker would flag;
 * fast-grid invalidation: inserting then removing a net's wiring leaves
-  every cached legality word identical to a freshly built grid.
+  every cached legality word identical to a freshly built grid;
+* fast-grid lazy fields: every field read, by any path, equals a fresh
+  check of the same shape type.
 """
 
 import random
@@ -21,8 +23,8 @@ from repro.droute.intervals import GraphView
 from repro.droute.space import RoutingSpace
 from repro.geometry.rect import Rect
 from repro.grid.blockgrid import BlockageGrid
-from repro.grid.fastgrid import pack_word, unpack_word
-from repro.grid.shapegrid import ShapeGrid
+from repro.grid.fastgrid import SHAPE_TYPES, pack_word, unpack_word
+from repro.grid.shapegrid import RIPUP_FIXED, ShapeGrid
 from repro.droute.route import ViaInstance
 from repro.tech.stacks import example_stack
 from repro.tech.wiring import ShapeKind, StickFigure
@@ -365,9 +367,128 @@ class TestPackedWordsMatchScalar:
         hi = len(batch.graph.crosses[z]) - 1
         batch.fast_grid.ensure_words("default", z, t, 0, hi)
         for c in range(hi + 1):
-            assert batch.fast_grid.cached_word("default", z, t, c) == (
-                single.fast_grid.word("default", (z, t, c))
-            )
+            expected = single.fast_grid.word("default", (z, t, c))
+            cached = batch.fast_grid.cached_word("default", z, t, c)
+            # The sweep fills wire and jog; via fields wait for a read.
+            assert cached[:2] == expected[:2]
+            assert cached[2:] == (None, None)
+            batch.fast_grid.word("default", (z, t, c))
+            assert batch.fast_grid.cached_word("default", z, t, c) == expected
+
+
+def _field_usable(field, ripup_level):
+    legal, needed = field
+    if legal:
+        return True
+    return ripup_level >= 0 and needed != RIPUP_FIXED and needed <= ripup_level
+
+
+class TestLazyFieldsMatchFresh:
+    """Every field read equals a fresh ``_compute_word``, however filled.
+
+    Band sweeps fill wire and jog, single reads fill one field, and
+    invalidations clear whole masks; a random interleaving of the four
+    read paths (``ensure_words``, ``vertex_usable``, ``edge_usable``,
+    ``word``) with wire/via insertions and removals in one window must
+    never expose a stale or wrongly packed field, on either backend.
+    """
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_reads_match_fresh_words(self, seed):
+        chip = generate_chip(
+            ChipSpec("lazyprop", rows=2, row_width_cells=4, net_count=4, seed=4)
+        )
+        for vectorized in (True, False):
+            rng = random.Random(seed)
+            space = RoutingSpace(chip, fast_grid_vectorized=vectorized)
+            graph = space.graph
+            fast = space.fast_grid
+            wire_type = fast.wire_types["default"]
+            # A window around a random vertex, so writes hit cached reads.
+            z0 = rng.choice(chip.stack.indices)
+            x0, y0, _ = graph.position((
+                z0,
+                rng.randrange(len(graph.tracks[z0])),
+                rng.randrange(len(graph.crosses[z0])),
+            ))
+            reach = 2 * chip.stack[z0].pitch
+            window = {
+                z: graph.vertices_in_rect(
+                    z, x0 - reach, y0 - reach, x0 + reach, y0 + reach
+                )
+                for z in chip.stack.indices
+            }
+            layers = [z for z in chip.stack.indices if window[z]]
+            live = []
+            for step in range(60):
+                z = rng.choice(layers)
+                vertex = rng.choice(window[z])
+                ripup = rng.choice((-2, 1, 3))
+                op = rng.choice(
+                    ("add", "add", "remove", "ensure", "usable", "usable",
+                     "edge", "word")
+                )
+                if op == "add":
+                    net = f"lazy{step}"
+                    off_track = rng.random() < 0.3
+                    x, y, _ = graph.position(vertex)
+                    shift = chip.stack[z].pitch // 3 if off_track else 0
+                    if rng.random() < 0.3 and z in chip.stack.via_layers():
+                        space.add_via(
+                            net, "default", ViaInstance(z, x + shift, y),
+                            ripup_level=rng.choice((1, 2, 3)),
+                            off_track=off_track,
+                        )
+                    else:
+                        _z, t, c = vertex
+                        c1 = min(c + rng.randrange(1, 3), len(graph.crosses[z]) - 1)
+                        x1, y1, _ = graph.position((z, t, c1))
+                        if x == x1:
+                            x, x1 = x + shift, x1 + shift
+                        else:
+                            y, y1 = y + shift, y1 + shift
+                        space.add_wire(
+                            net, "default", StickFigure(z, x, y, x1, y1),
+                            ripup_level=rng.choice((1, 2, 3)),
+                            off_track=off_track,
+                        )
+                    live.append(net)
+                elif op == "remove" and live:
+                    space.remove_net_route(live.pop(rng.randrange(len(live))))
+                elif op == "ensure":  # the window's span of the track
+                    _z, t, _c = vertex
+                    span = [c for (_, tt, c) in window[z] if tt == t]
+                    lo, hi = min(span), max(span)
+                    fast.ensure_words("default", z, t, lo, hi)
+                    for cc in range(lo, hi + 1):
+                        got = fast.cached_word("default", z, t, cc)
+                        fresh = fast._compute_word(wire_type, (z, t, cc))
+                        assert got[:2] == fresh[:2], (vectorized, step, cc)
+                        for field, want in zip(got[2:], fresh[2:]):
+                            assert field in (None, want), (vectorized, step, cc)
+                elif op == "usable":
+                    i = rng.randrange(len(SHAPE_TYPES))
+                    fresh = fast._compute_word(wire_type, vertex)
+                    assert fast.vertex_usable(
+                        "default", vertex, SHAPE_TYPES[i], ripup
+                    ) == _field_usable(fresh[i], ripup), (vectorized, step, i)
+                elif op == "edge":
+                    upper = graph.via_partner(vertex, z + 1)
+                    if upper is None:
+                        continue
+                    expected = _field_usable(
+                        fast._compute_word(wire_type, vertex)[3], ripup
+                    ) and _field_usable(
+                        fast._compute_word(wire_type, upper)[2], ripup
+                    )
+                    assert fast.edge_usable(
+                        "default", vertex, upper, "via", ripup
+                    ) == expected, (vectorized, step)
+                elif op == "word":
+                    assert fast.word("default", vertex) == fast._compute_word(
+                        wire_type, vertex
+                    ), (vectorized, step)
 
 
 def _reference_runs(fast, type_name, z, t, ranges, ripup_level, forced):
