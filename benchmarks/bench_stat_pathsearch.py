@@ -1,30 +1,20 @@
-"""Path-search kernel ablation: heap vs bucket vs bucket + pi_GR.
+"""Path-search future-cost ablation: classic pi_H/pi_P vs pi_GR.
 
-Three full flows over the same chip (the table-1 quick chip), one per
-kernel configuration:
+Two full flows over the same chip (the table-1 quick chip):
 
-* ``heap`` - the reference oracle: binary heap, classic pi_H/pi_P
-  future-cost policy.
-* ``bucket_nofc`` - the bucketed monotone queue with the classic
-  future-cost policy.  Both kernels break ties FIFO, so this run must
-  reproduce the heap run *exactly* (same labels, same wiring) - the
-  queue swap alone changes constants, never results.
-* ``bucket`` - the default: bucket queue plus the corridor-tightened
-  future cost pi_GR.  The stronger bound must cut labels pushed by at
-  least 25% against the heap reference while wiring quality stays at
-  parity.
-* ``vec_off`` - the default kernel on the scalar (non-numpy) fast-grid
-  backend (``REPRO_FASTGRID_NOVEC=1``): the legality-grid vectorization
-  ablation.  The packed encoding is identical in both backends, so this
-  arm must reproduce the ``bucket`` arm bit for bit - only wall clock
-  may move.
+* ``classic`` - every search steered by the classic pi_H / pi_P
+  future-cost policy (``NetConnector.corridor_future_cost`` off).
+* ``pi_gr`` - the default: corridor-restricted searches steered by the
+  corridor-tightened future cost pi_GR.  The stronger bound must cut
+  labels pushed by at least 25% against the classic arm while wiring
+  quality stays at parity.
 
 The run persists into ``BENCH_pathsearch.json``; the label/pop counters
 are gated by ``python -m repro.obs.regress``.
 """
 
-import os
 import time
+from unittest import mock
 
 from benchmarks.common import (
     bench_observability,
@@ -34,40 +24,23 @@ from benchmarks.common import (
     write_bench_record,
 )
 from repro.chip.generator import generate_chip
-from repro.droute.pathsearch import BucketKernel
+from repro.droute.connect import NetConnector
 from repro.flow.bonnroute import BonnRouteFlow
 
-#: The kernel ablation runs on the table-1 quick chip in every mode:
-#: three full flows per extra chip would dominate the bench suite for
-#: no additional signal about the kernels.
+#: The ablation runs on the table-1 quick chip in every mode: a full
+#: flow per extra chip would dominate the bench suite for no additional
+#: signal about the future cost.
 SPEC = bench_specs()[0]
 
-KERNELS = (
-    ("heap", lambda: "heap"),
-    ("bucket_nofc", lambda: BucketKernel(corridor_future_cost=False)),
-    ("bucket", lambda: "bucket"),
-    # vec_off: default kernel, scalar fast-grid backend (vectorization
-    # ablation) - flagged via environment so every RoutingSpace the flow
-    # builds picks it up.
-    ("vec_off", lambda: "bucket"),
-)
+#: Arm name -> NetConnector.corridor_future_cost.
+ARMS = (("classic", False), ("pi_gr", True))
 
 
-def _run_flow(kernel, novec=False):
+def _run_flow():
     chip = generate_chip(SPEC)
-    old = os.environ.pop("REPRO_FASTGRID_NOVEC", None)
-    if novec:
-        os.environ["REPRO_FASTGRID_NOVEC"] = "1"
-    try:
-        start = time.time()
-        result = BonnRouteFlow(
-            chip, gr_phases=10, seed=1, search_kernel=kernel
-        ).run()
-        elapsed = time.time() - start
-    finally:
-        os.environ.pop("REPRO_FASTGRID_NOVEC", None)
-        if old is not None:
-            os.environ["REPRO_FASTGRID_NOVEC"] = old
+    start = time.time()
+    result = BonnRouteFlow(chip, gr_phases=10, seed=1).run()
+    elapsed = time.time() - start
     metrics = result.metrics
     counters = obs_work_counters()
     return {
@@ -89,16 +62,15 @@ def _run_flow(kernel, novec=False):
 def test_kernel_ablation(benchmark):
     def run():
         out = {}
-        for name, factory in KERNELS:
-            with bench_observability():
-                out[name] = _run_flow(factory(), novec=(name == "vec_off"))
+        for name, corridor_future_cost in ARMS:
+            with bench_observability(), mock.patch.object(
+                NetConnector, "corridor_future_cost", corridor_future_cost
+            ):
+                out[name] = _run_flow()
         return out
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    heap, nofc, bucket, vec_off = (
-        results["heap"], results["bucket_nofc"], results["bucket"],
-        results["vec_off"],
-    )
+    classic, pi_gr = results["classic"], results["pi_gr"]
 
     rows = [
         [name, r["labels"], r["pops"], r["processed"], r["netlength"],
@@ -106,40 +78,23 @@ def test_kernel_ablation(benchmark):
         for name, r in results.items()
     ]
     print_table(
-        "Path-search kernel ablation (full flow, table-1 quick chip)",
-        ["kernel", "labels", "pops", "processed", "netlength", "vias",
+        "Path-search future-cost ablation (full flow, table-1 quick chip)",
+        ["future cost", "labels", "pops", "processed", "netlength", "vias",
          "errors", "wall_s"],
         rows,
     )
 
-    # The queue swap alone is results-neutral: bit-identical searches.
-    for key in ("labels", "pops", "processed", "searches",
-                "netlength", "vias", "errors"):
-        assert nofc[key] == heap[key], (
-            f"bucket_nofc must reproduce heap exactly, {key} differs: "
-            f"{nofc[key]} != {heap[key]}"
-        )
-
     # The corridor-tightened future cost carries the acceptance bar:
     # >= 25% fewer labels pushed, wiring quality at parity.
-    assert bucket["labels"] <= 0.75 * heap["labels"], (
-        f"pi_GR must cut labels >= 25%: {bucket['labels']} vs "
-        f"{heap['labels']}"
+    assert pi_gr["labels"] <= 0.75 * classic["labels"], (
+        f"pi_GR must cut labels >= 25%: {pi_gr['labels']} vs "
+        f"{classic['labels']}"
     )
-    assert bucket["netlength"] == heap["netlength"]
-    assert bucket["vias"] == heap["vias"]
-    assert bucket["errors"] <= heap["errors"], (
-        "the bucket kernel must not leave more DRC errors behind"
+    assert pi_gr["netlength"] == classic["netlength"]
+    assert pi_gr["vias"] == classic["vias"]
+    assert pi_gr["errors"] <= classic["errors"], (
+        "pi_GR must not leave more DRC errors behind"
     )
-
-    # The scalar fast-grid backend is a pure wall-clock ablation: the
-    # packed words are bit-identical, so results must match exactly.
-    for key in ("labels", "pops", "processed", "searches",
-                "netlength", "vias", "errors"):
-        assert vec_off[key] == bucket[key], (
-            f"vec_off must reproduce bucket exactly, {key} differs: "
-            f"{vec_off[key]} != {bucket[key]}"
-        )
 
     work = {}
     for name, r in results.items():
@@ -149,21 +104,15 @@ def test_kernel_ablation(benchmark):
             work[f"{name}.{key}"] = r[key]
     # Inverted parity flags: a regression raises them above 0, which is
     # exactly what the gate flags (a decrease only ever reads improved).
-    work["parity.nofc_mismatch"] = int(
-        any(nofc[k] != heap[k] for k in ("labels", "netlength", "vias"))
-    )
     work["parity.netlength_mismatch"] = int(
-        bucket["netlength"] != heap["netlength"]
+        pi_gr["netlength"] != classic["netlength"]
     )
-    work["parity.vias_mismatch"] = int(bucket["vias"] != heap["vias"])
-    work["parity.vec_off_mismatch"] = int(
-        any(vec_off[k] != bucket[k] for k in ("labels", "netlength", "vias"))
-    )
+    work["parity.vias_mismatch"] = int(pi_gr["vias"] != classic["vias"])
     wall_clock = {f"{name}.route_s": r["wall_s"] for name, r in results.items()}
     columns = {
         "chip": SPEC.name,
         "labels_reduction_pct": round(
-            100.0 * (1 - bucket["labels"] / max(1, heap["labels"])), 1
+            100.0 * (1 - pi_gr["labels"] / max(1, classic["labels"])), 1
         ),
     }
     path = write_bench_record("pathsearch", wall_clock, work, columns=columns)

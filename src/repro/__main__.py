@@ -143,7 +143,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
                 resume=args.resume,
                 workers=args.workers,
                 region_timeout_s=args.region_timeout,
-                search_kernel=args.search_kernel,
                 preroute_local_nets=not args.no_preroute,
                 shard_store=shard_store,
             ).run()
@@ -362,13 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-region deadline for pool workers; a worker past the "
         "deadline is killed and its region retried (then degraded to "
         "in-process serial routing)",
-    )
-    route.add_argument(
-        "--search-kernel", choices=("heap", "bucket"), default="bucket",
-        help="path-search engine for detailed routing: 'bucket' uses a "
-        "Dial-style monotone bucket queue with vectorized labels and "
-        "corridor-aware future costs; 'heap' is the reference binary-"
-        "heap kernel (same paths under deterministic tie-breaking)",
     )
     route.add_argument(
         "--checkpoint", default=None, metavar="PATH",

@@ -58,15 +58,12 @@ class DrcCleanup:
         self,
         space: RoutingSpace,
         max_passes: int = 2,
-        search_kernel=None,
     ) -> None:
         self.space = space
         self.chip = space.chip
         self.max_passes = max_passes
         self.planner = PinAccessPlanner(space)
-        self.connector = NetConnector(
-            space, planner=self.planner, search_kernel=search_kernel
-        )
+        self.connector = NetConnector(space, planner=self.planner)
 
     # ------------------------------------------------------------------
     # Individual fixes

@@ -25,12 +25,10 @@ from repro.droute.future_cost import (
 )
 from repro.droute.intervals import GraphView
 from repro.droute.pathsearch import (
-    KernelSpec,
     SearchResult,
     interval_path_search,
     node_path_search,
     path_to_moves,
-    resolve_kernel,
 )
 from repro.obs import OBS
 from repro.droute.pinaccess import AccessPath
@@ -85,6 +83,12 @@ class ConnectionResult:
 class NetConnector:
     """Routes one net at a time over a shared :class:`RoutingSpace`."""
 
+    #: Steer corridor-restricted searches with the corridor future cost
+    #: pi_GR (arXiv:2111.06169) instead of the classic pi_H / pi_P choice.
+    #: The ISR fallback connector turns it off to keep its baseline
+    #: independent of pi_GR.
+    corridor_future_cost = True
+
     def __init__(
         self,
         space: RoutingSpace,
@@ -96,14 +100,9 @@ class NetConnector:
         detour_threshold: float = 1.8,
         spreading=None,
         fault_injector=None,
-        search_kernel: KernelSpec = None,
     ) -> None:
         self.space = space
         self.costs = costs if costs is not None else SearchCosts()
-        #: The queue/label engine behind every path search of this
-        #: connector (``route --search-kernel``); the kernel also decides
-        #: whether searches use the corridor future cost pi_GR.
-        self.search_kernel = resolve_kernel(search_kernel)
         #: Primary (reserved) access path per pin name (Sec. 4.3).
         self.access_paths = access_paths if access_paths is not None else {}
         #: Pin access planner for dynamically generated paths (Sec. 4.4:
@@ -254,8 +253,7 @@ class NetConnector:
             ),
         )
         target_list = sorted(targets)
-        kernel = self.search_kernel
-        if kernel.corridor_future_cost and area.boxes is not None:
+        if self.corridor_future_cost and area.boxes is not None:
             # The corridor-tightened bound (arXiv:2111.06169): cheap
             # enough to build for every corridor-restricted connection,
             # and it dominates both classic bounds, so the pi_P detour
@@ -283,7 +281,7 @@ class NetConnector:
         stats.searches += 1
         result = search(
             view, {s: 0 for s in sources}, targets, self.costs, pi,
-            deadline=deadline, kernel=kernel,
+            deadline=deadline,
         )
         if result is not None:
             stats.labels += result.stats.labels_pushed

@@ -24,11 +24,6 @@ from repro.droute.area import RoutingArea
 from repro.droute.space import RoutingSpace, effective_via_type, effective_wire_type
 from repro.grid.trackgraph import Vertex
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - pure-python fallback
-    _np = None
-
 
 class SearchInterval:
     """A maximal labelled run of usable vertices on one track."""
@@ -96,7 +91,7 @@ class GraphView:
         self._track_runs: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         # (z, t) -> per-cross interval-index map (-1 where no interval);
         # replaces the bisect in interval_at on its ~10^5-call hot path.
-        self._track_maps: Dict[Tuple[int, int], object] = {}
+        self._track_maps: Dict[Tuple[int, int], List[int]] = {}
 
     # ------------------------------------------------------------------
     # Per-layer wire type resolution
@@ -232,23 +227,14 @@ class GraphView:
             self._track_maps[key] = self._build_track_map(z, runs)
         return runs
 
-    def _build_track_map(self, z: int, runs: List[Tuple[int, int]]):
+    def _build_track_map(self, z: int, runs: List[Tuple[int, int]]) -> List[int]:
         """Per-cross map c -> interval index (-1 outside any interval)."""
-        ncross = len(self.graph.crosses[z])
-        if _np is not None and self.space.fast_grid.vectorized:
-            cmap = _np.full(ncross, -1, dtype=_np.int32)
-        else:
-            cmap = [-1] * ncross
+        cmap = [-1] * len(self.graph.crosses[z])
         intervals = self._intervals
-        if _np is not None and isinstance(cmap, _np.ndarray):
-            for _c_lo, index in runs:
-                interval = intervals[index]
-                cmap[interval.c_lo:interval.c_hi + 1] = index
-        else:
-            for _c_lo, index in runs:
-                interval = intervals[index]
-                for c in range(interval.c_lo, interval.c_hi + 1):
-                    cmap[c] = index
+        for _c_lo, index in runs:
+            interval = intervals[index]
+            for c in range(interval.c_lo, interval.c_hi + 1):
+                cmap[c] = index
         return cmap
 
     def interval(self, index: int) -> SearchInterval:

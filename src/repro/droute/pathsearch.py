@@ -17,28 +17,15 @@ Two search procedures over the same :class:`GraphView`:
 Both use a future cost (potential) pi with pi(t) = 0 on targets and
 reduced edge costs c_pi >= 0; both return the same optimal costs.
 
-Search kernels
---------------
-
-Both procedures run on top of a narrow :class:`SearchKernel` contract:
-the kernel owns the priority queue and the per-vertex label store
-(distance, parent) of one search, nothing else.  Two kernels ship:
-
-* ``heap`` (:class:`HeapKernel`) - the reference oracle: a C ``heapq``
-  binary heap with lazy deletion and dict-backed labels.
-* ``bucket`` (:class:`BucketKernel`, the default) - a bucketed monotone
-  queue (Dial [1969]): edge costs are bounded small integers, so labels
-  are grouped into FIFO buckets keyed by their integer priority and a
-  tiny heap orders only the *distinct* priorities; labels live in dense
-  numpy arrays indexed by ``base[z] + t*len(crosses[z]) + c`` instead of
-  per-label dict entries, and generation stamps make resets O(1).
+Both procedures keep their labels in one heap frontier: a C ``heapq``
+binary heap with lazy deletion and dict-backed labels.
 
 Label semantics: a label is ``(vertex, d)`` where ``d`` is the reduced
 distance ``dist(s, v) + pi(v)`` (plus source offsets and interval
-penalties).  Ties are broken FIFO by insertion order in *both* kernels,
-so the two kernels pop labels in the identical order and return not just
-equal costs but the identical vertex path - the equivalence the property
-tests and this doctest pin down:
+penalties).  Ties are broken FIFO by insertion order, so a search is
+deterministic: the same instance always returns the identical vertex
+path (``tests/pathsearch_golden.json`` pins those paths down).  The
+interval search returns the node search's optimal cost:
 
 >>> from repro.chip.generator import ChipSpec, generate_chip
 >>> from repro.droute.area import RoutingArea
@@ -52,9 +39,11 @@ tests and this doctest pin down:
 >>> costs, pi = SearchCosts(), FutureCostH(space.graph, [t], SearchCosts())
 >>> view = GraphView(space, "default", RoutingArea.everywhere(),
 ...                  forced_vertices={s, t})
->>> a = interval_path_search(view, {s: 0}, {t}, costs, pi, kernel="heap")
->>> b = interval_path_search(view, {s: 0}, {t}, costs, pi, kernel="bucket")
->>> a.cost == b.cost and a.vertices == b.vertices
+>>> a = interval_path_search(view, {s: 0}, {t}, costs, pi)
+>>> b = node_path_search(view, {s: 0}, {t}, costs, pi)
+>>> a.cost == b.cost
+True
+>>> a.stats.pops < b.stats.pops
 True
 >>> a.vertices[0] == s and a.vertices[-1] == t
 True
@@ -63,27 +52,12 @@ True
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.droute.future_cost import UNREACHABLE, SearchCosts
 from repro.droute.intervals import GraphView, SearchInterval
 from repro.grid.trackgraph import Vertex
 from repro.obs import OBS
-
-try:  # numpy backs the bucket kernel's label arrays; the stdlib
-    import numpy as _np  # ``array`` module stands in where it is absent.
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
 
 INFINITY = 1 << 60
 
@@ -113,7 +87,7 @@ class SearchStats:
         #: per heap pop on average — the Fig. 6 labelling economy.
         self.interval_runs = 0
         #: Queue entries discarded because a better label for the same
-        #: vertex was pushed later (both kernels replace decrease-key with
+        #: vertex was pushed later (the frontier replaces decrease-key with
         #: lazy deletion; ``pops`` counts only the fruitful pops).
         self.stale_pops = 0
 
@@ -127,51 +101,16 @@ class SearchStats:
         }
 
 
-# ----------------------------------------------------------------------
-# Search kernels: priority queue + label store behind one contract
-# ----------------------------------------------------------------------
-class SearchKernel:
-    """Factory for the queue/label-store of one search (the kernel contract).
-
-    A kernel is long-lived (one per :class:`NetConnector`); each call to
-    :meth:`new_search` returns a fresh *frontier* holding one search's
-    mutable state.  The frontier contract the search loops rely on:
-
-    * ``improve(vertex, d, parent, kind) -> bool`` — record the label if
-      ``d`` beats the current distance (no enqueue);
-    * ``push(vertex, d)`` — enqueue a recorded label;
-    * ``pop() -> (vertex, d) | None`` — pop the minimum live label, FIFO
-      among equal priorities, skipping stale entries;
-    * ``get_dist(vertex)`` / ``is_processed`` / ``mark_processed``;
-    * ``reconstruct(target)`` — parent-chain path to ``target``;
-    * ``kernel_counters()`` — per-search ``pathsearch.kernel.*`` deltas.
-
-    ``corridor_future_cost`` advertises whether searches through this
-    kernel should use the corridor-tightened future cost pi_GR
-    (:class:`repro.droute.future_cost.FutureCostGR`); the ``bucket``
-    kernel turns it on, the ``heap`` reference oracle keeps the classic
-    pi_H / pi_P policy.
-    """
-
-    name: str = "?"
-    #: Whether NetConnector._search should build FutureCostGR from the
-    #: net's GR corridor instead of the classic pi_H / pi_P choice.
-    corridor_future_cost: bool = False
-
-    def new_search(self, graph):
-        raise NotImplementedError
-
-
 class _HeapFrontier:
-    """Reference frontier: C heapq + dict labels, lazy deletion.
+    """The queue and label store of one search: C heapq + dict labels.
 
     Entries are ``(priority, seq, vertex)``; ``seq`` is the global
-    insertion counter, so equal-priority labels pop FIFO — the same
-    deterministic tie-breaking order as the bucket kernel.
+    insertion counter, so equal-priority labels pop FIFO.  A better label
+    for an already-queued vertex is pushed anew and the old entry is
+    skipped on pop (lazy deletion instead of decrease-key).
     """
 
     __slots__ = ("_dist", "_parent", "_processed", "_heap", "_seq", "stale_pops")
-    kernel_name = "heap"
 
     def __init__(self) -> None:
         self._dist: Dict[Vertex, int] = {}
@@ -181,12 +120,8 @@ class _HeapFrontier:
         self._seq = 0
         self.stale_pops = 0
 
-    def get_dist(self, vertex: Vertex) -> int:
-        return self._dist.get(vertex, INFINITY)
-
-    def improve(
-        self, vertex: Vertex, d: int, parent: Optional[Vertex], kind: str
-    ) -> bool:
+    def improve(self, vertex: Vertex, d: int, parent: Optional[Vertex]) -> bool:
+        """Record the label if ``d`` beats the current distance (no enqueue)."""
         if d >= self._dist.get(vertex, INFINITY):
             return False
         self._dist[vertex] = d
@@ -198,6 +133,7 @@ class _HeapFrontier:
         self._seq += 1
 
     def pop(self) -> Optional[Tuple[Vertex, int]]:
+        """The minimum live label, FIFO among equal priorities."""
         heap = self._heap
         dist = self._dist
         processed = self._processed
@@ -227,243 +163,8 @@ class _HeapFrontier:
         path.reverse()
         return path
 
-    def kernel_counters(self) -> Dict[str, int]:
-        return {"heap_searches": 1, "stale_pops": self.stale_pops}
 
-
-class HeapKernel(SearchKernel):
-    """The reference oracle: binary heap + dict labels."""
-
-    name = "heap"
-    corridor_future_cost = False
-
-    def new_search(self, graph) -> _HeapFrontier:
-        return _HeapFrontier()
-
-
-class _VertexIndex:
-    """Dense integer ids for the ``(z, t, c)`` vertices of one TrackGraph.
-
-    ``id = base[z] + t * len(crosses[z]) + c`` — contiguous per layer, so
-    one flat array per attribute covers the whole graph.
-    """
-
-    __slots__ = ("base", "ncross", "size", "_layers")
-
-    def __init__(self, graph) -> None:
-        self.base: Dict[int, int] = {}
-        self.ncross: Dict[int, int] = {}
-        #: (base, z, ncross) descending by base, for id -> vertex.
-        self._layers: List[Tuple[int, int, int]] = []
-        offset = 0
-        for z in graph.stack.indices:
-            ncross = len(graph.crosses[z])
-            self.base[z] = offset
-            self.ncross[z] = ncross
-            self._layers.append((offset, z, ncross))
-            offset += len(graph.tracks[z]) * ncross
-        self._layers.reverse()
-        self.size = offset
-
-    def id_of(self, vertex: Vertex) -> int:
-        z, t, c = vertex
-        return self.base[z] + t * self.ncross[z] + c
-
-    def vertex_of(self, vid: int) -> Vertex:
-        # Layer stacks are shallow (<= ~10 layers): a linear scan over
-        # the descending base list beats bisect's call overhead.
-        for base, z, ncross, in self._layers:
-            if vid >= base:
-                t, c = divmod(vid - base, ncross)
-                return (z, t, c)
-        raise IndexError(f"vertex id {vid} out of range")
-
-
-def _make_int64(size: int):
-    """A zero-filled signed 64-bit array: numpy when available."""
-    if _np is not None:
-        return _np.zeros(size, dtype=_np.int64)
-    from array import array
-
-    return array("q", bytes(8 * size))
-
-
-class _BucketArrays:
-    """Per-graph label arrays shared by all of one kernel's searches.
-
-    ``stamp``/``pstamp`` hold the generation that last wrote the vertex's
-    label / processed flag: bumping ``generation`` invalidates every
-    entry at once, so a new search never pays an O(V) clear.
-    """
-
-    __slots__ = ("index", "dist", "parent", "stamp", "pstamp", "generation")
-
-    def __init__(self, index: _VertexIndex) -> None:
-        self.index = index
-        self.dist = _make_int64(index.size)
-        self.parent = _make_int64(index.size)
-        self.stamp = _make_int64(index.size)
-        self.pstamp = _make_int64(index.size)
-        #: Stamps start at 0 == generation, so the first search must
-        #: bump to 1 before trusting any entry.
-        self.generation = 0
-
-
-class _BucketFrontier:
-    """Bucketed monotone queue over dense label arrays (Dial-style).
-
-    Labels of equal integer priority share one FIFO bucket; a small C
-    heap orders only the distinct priorities, so a pop inside the
-    current bucket is O(1) and the heap is touched once per *priority*,
-    not once per label.
-    """
-
-    __slots__ = (
-        "_arrays",
-        "_index",
-        "_gen",
-        "_buckets",
-        "_prios",
-        "stale_pops",
-        "buckets_created",
-    )
-    kernel_name = "bucket"
-
-    def __init__(self, arrays: _BucketArrays) -> None:
-        arrays.generation += 1
-        self._arrays = arrays
-        self._index = arrays.index
-        self._gen = arrays.generation
-        self._buckets: Dict[int, deque] = {}
-        self._prios: List[int] = []
-        self.stale_pops = 0
-        self.buckets_created = 0
-
-    def get_dist(self, vertex: Vertex) -> int:
-        arrays = self._arrays
-        i = self._index.id_of(vertex)
-        if arrays.stamp[i] != self._gen:
-            return INFINITY
-        return int(arrays.dist[i])
-
-    def improve(
-        self, vertex: Vertex, d: int, parent: Optional[Vertex], kind: str
-    ) -> bool:
-        arrays = self._arrays
-        index = self._index
-        i = index.id_of(vertex)
-        if arrays.stamp[i] == self._gen and arrays.dist[i] <= d:
-            return False
-        arrays.dist[i] = d
-        arrays.parent[i] = -1 if parent is None else index.id_of(parent)
-        arrays.stamp[i] = self._gen
-        return True
-
-    def push(self, vertex: Vertex, d: int) -> None:
-        bucket = self._buckets.get(d)
-        if bucket is None:
-            self._buckets[d] = bucket = deque()
-            heapq.heappush(self._prios, d)
-            self.buckets_created += 1
-        bucket.append(vertex)
-
-    def pop(self) -> Optional[Tuple[Vertex, int]]:
-        arrays = self._arrays
-        index = self._index
-        gen = self._gen
-        prios = self._prios
-        buckets = self._buckets
-        while prios:
-            priority = prios[0]
-            bucket = buckets[priority]
-            while bucket:
-                vertex = bucket.popleft()
-                i = index.id_of(vertex)
-                if (
-                    arrays.pstamp[i] == gen
-                    or arrays.stamp[i] != gen
-                    or arrays.dist[i] < priority
-                ):
-                    self.stale_pops += 1
-                    continue
-                return vertex, priority
-            heapq.heappop(prios)
-            del buckets[priority]
-        return None
-
-    def is_processed(self, vertex: Vertex) -> bool:
-        return self._arrays.pstamp[self._index.id_of(vertex)] == self._gen
-
-    def mark_processed(self, vertex: Vertex) -> None:
-        self._arrays.pstamp[self._index.id_of(vertex)] = self._gen
-
-    def reconstruct(self, target: Vertex) -> List[Vertex]:
-        arrays = self._arrays
-        index = self._index
-        ids = [index.id_of(target)]
-        while True:
-            prev = int(arrays.parent[ids[-1]])
-            if prev < 0:
-                break
-            ids.append(prev)
-        ids.reverse()
-        return [index.vertex_of(i) for i in ids]
-
-    def kernel_counters(self) -> Dict[str, int]:
-        return {
-            "bucket_searches": 1,
-            "stale_pops": self.stale_pops,
-            "bucket_priorities": self.buckets_created,
-        }
-
-
-class BucketKernel(SearchKernel):
-    """The default kernel: bucketed queue + dense label arrays + pi_GR.
-
-    ``corridor_future_cost=False`` keeps the bucket queue but the classic
-    future-cost policy — the middle rung of the heap / bucket /
-    bucket+pi_GR ablation in EXPERIMENTS.md.
-    """
-
-    name = "bucket"
-
-    def __init__(self, corridor_future_cost: bool = True) -> None:
-        self.corridor_future_cost = corridor_future_cost
-        import weakref
-
-        #: TrackGraph -> _BucketArrays, dropped with the graph.
-        self._arrays = weakref.WeakKeyDictionary()
-
-    def new_search(self, graph) -> _BucketFrontier:
-        arrays = self._arrays.get(graph)
-        if arrays is None:
-            arrays = _BucketArrays(_VertexIndex(graph))
-            self._arrays[graph] = arrays
-        return _BucketFrontier(arrays)
-
-
-DEFAULT_KERNEL = "bucket"
-KERNEL_NAMES = ("heap", "bucket")
-
-KernelSpec = Union[None, str, SearchKernel]
-
-
-def resolve_kernel(spec: KernelSpec = None) -> SearchKernel:
-    """Kernel instance for a ``--search-kernel`` name (or pass-through)."""
-    if spec is None:
-        spec = DEFAULT_KERNEL
-    if isinstance(spec, SearchKernel):
-        return spec
-    if spec == "heap":
-        return HeapKernel()
-    if spec == "bucket":
-        return BucketKernel()
-    raise ValueError(
-        f"unknown search kernel {spec!r} (choose from {KERNEL_NAMES})"
-    )
-
-
-def _publish(stats: SearchStats, engine: str, frontier=None) -> None:
+def _publish(stats: SearchStats, engine: str) -> None:
     """Fold one search's stats into the global registry (Sec. 4.1 counters).
 
     Called once per search so the hot loops stay free of observability
@@ -477,9 +178,7 @@ def _publish(stats: SearchStats, engine: str, frontier=None) -> None:
     OBS.count("pathsearch.vertices_processed", stats.vertices_processed)
     OBS.count("pathsearch.interval_runs", stats.interval_runs)
     OBS.observe("pathsearch.labels_per_search", stats.labels_pushed)
-    if frontier is not None:
-        for name, value in frontier.kernel_counters().items():
-            OBS.count(f"pathsearch.kernel.{name}", value)
+    OBS.count("pathsearch.kernel.stale_pops", stats.stale_pops)
 
 
 class SearchResult:
@@ -522,7 +221,6 @@ def interval_path_search(
     costs: SearchCosts,
     pi: Callable[[Vertex], int],
     deadline=None,
-    kernel: KernelSpec = None,
 ) -> Optional[SearchResult]:
     """Shortest path by interval labelling (Algorithm 4).
 
@@ -531,21 +229,19 @@ def interval_path_search(
     ``deadline`` (a :class:`repro.flow.resilience.Deadline`) is polled
     every few pops; expiry raises ``DeadlineExceeded`` mid-search, which
     is safe because the search never mutates the routing space.
-    ``kernel`` selects the queue/label engine (``"heap"``, ``"bucket"``,
-    or a :class:`SearchKernel`); ``None`` means :data:`DEFAULT_KERNEL`.
     """
     graph = view.graph
     stats = SearchStats()
-    frontier = resolve_kernel(kernel).new_search(graph)
+    frontier = _HeapFrontier()
     #: A pi that *proves* disconnection (pi_GR in view mode) lets the
     #: search drop labels at UNREACHABLE priority instead of exhausting
     #: the frontier when no path exists.
     prune = getattr(pi, "unreachable_is_proof", False)
 
-    def push(vertex: Vertex, d: int, prev: Optional[Vertex], kind: str) -> None:
+    def push(vertex: Vertex, d: int, prev: Optional[Vertex]) -> None:
         if prune and d >= UNREACHABLE:
             return
-        if frontier.improve(vertex, d, prev, kind):
+        if frontier.improve(vertex, d, prev):
             frontier.push(vertex, d)
             stats.labels_pushed += 1
 
@@ -553,7 +249,7 @@ def interval_path_search(
         interval = view.interval_at(source)
         if interval is None:
             continue
-        push(source, offset + pi(source) + interval.penalty, None, "source")
+        push(source, offset + pi(source) + interval.penalty, None)
 
     #: The four cross-edge families out of an on-track vertex: jogs to the
     #: two adjacent tracks, vias to the two adjacent layers.
@@ -606,7 +302,7 @@ def interval_path_search(
                 nd = vertex_dist + cost - pi(vertex) + pi(neighbour)
                 if n_interval is not interval:
                     nd += n_interval.penalty
-                push(neighbour, nd, vertex, kind)
+                push(neighbour, nd, vertex)
         # Wire edges across interval boundaries: they exist when two
         # intervals are adjacent on the same track (e.g. a ripup
         # singleton splitting an ordinary run, Sec. 4.2).
@@ -628,7 +324,7 @@ def interval_path_search(
                     vertex_dist + costs.wire(z, step)
                     - pi(vertex) + pi(neighbour) + n_interval.penalty
                 )
-                push(neighbour, nd, vertex, "wire")
+                push(neighbour, nd, vertex)
 
     best: Optional[Tuple[Vertex, int]] = None
     while True:
@@ -663,9 +359,7 @@ def interval_path_search(
                 nd = nd + rc
                 if prune and nd >= UNREACHABLE:
                     break
-                if frontier.is_processed(nxt) or not frontier.improve(
-                    nxt, nd, prev, "wire"
-                ):
+                if frontier.is_processed(nxt) or not frontier.improve(nxt, nd, prev):
                     break
                 if rc == 0:
                     run.append((nxt, nd))
@@ -689,7 +383,7 @@ def interval_path_search(
         relax_run_cross_edges(run, interval)
     stats.stale_pops = frontier.stale_pops
     if OBS.enabled:
-        _publish(stats, "interval", frontier)
+        _publish(stats, "interval")
     if best is None:
         return None
     target, cost = best
@@ -704,18 +398,17 @@ def node_path_search(
     costs: SearchCosts,
     pi: Callable[[Vertex], int],
     deadline=None,
-    kernel: KernelSpec = None,
 ) -> Optional[SearchResult]:
     """Classical node-labelling Dijkstra (the ablation baseline)."""
     graph = view.graph
     stats = SearchStats()
-    frontier = resolve_kernel(kernel).new_search(graph)
+    frontier = _HeapFrontier()
     prune = getattr(pi, "unreachable_is_proof", False)
 
-    def push(vertex: Vertex, d: int, prev: Optional[Vertex], kind: str) -> None:
+    def push(vertex: Vertex, d: int, prev: Optional[Vertex]) -> None:
         if prune and d >= UNREACHABLE:
             return
-        if frontier.improve(vertex, d, prev, kind):
+        if frontier.improve(vertex, d, prev):
             frontier.push(vertex, d)
             stats.labels_pushed += 1
 
@@ -723,7 +416,7 @@ def node_path_search(
         interval = view.interval_at(source)
         if interval is None:
             continue
-        push(source, offset + pi(source) + interval.penalty, None, "source")
+        push(source, offset + pi(source) + interval.penalty, None)
 
     while True:
         popped = frontier.pop()
@@ -738,7 +431,7 @@ def node_path_search(
         if vertex in targets:
             stats.stale_pops = frontier.stale_pops
             if OBS.enabled:
-                _publish(stats, "node", frontier)
+                _publish(stats, "node")
             path = frontier.reconstruct(vertex)
             return SearchResult(d, path, stats, _collect_ripups(view, path))
         z, t, c = vertex
@@ -755,10 +448,10 @@ def node_path_search(
             nd = d + cost - pi_v + pi(neighbour)
             if n_interval is not current:
                 nd += n_interval.penalty
-            push(neighbour, nd, vertex, kind)
+            push(neighbour, nd, vertex)
     stats.stale_pops = frontier.stale_pops
     if OBS.enabled:
-        _publish(stats, "node", frontier)
+        _publish(stats, "node")
     return None
 
 

@@ -166,7 +166,6 @@ class DetailedRouter:
         workers: int = 1,
         region_timeout_s: Optional[float] = None,
         round_checkpoint=None,
-        search_kernel=None,
     ) -> None:
         self.space = space
         self.chip = space.chip
@@ -221,10 +220,6 @@ class DetailedRouter:
             if session is not None:
                 session.planner = self.planner
         access_paths = session.access_paths if session is not None else {}
-        #: Queue/label engine for the path searches (``heap`` or
-        #: ``bucket``, see droute/pathsearch.py); forked workers inherit
-        #: it with the router, so parallel rounds use the same kernel.
-        self.search_kernel = search_kernel
         self.connector = NetConnector(
             space,
             costs=self.costs,
@@ -233,14 +228,12 @@ class DetailedRouter:
             use_interval_search=use_interval_search,
             spreading=spreading,
             fault_injector=fault_injector,
-            search_kernel=search_kernel,
         )
         #: Lazily built node-search connector for the isr_fallback rung.
         #: It shares the access paths and planner with the primary
-        #: connector but carries no fault injector and always runs the
-        #: reference ``heap`` kernel: it is the independent engine that
-        #: survives faults in the interval machinery *and* in the tuned
-        #: bucket kernel.
+        #: connector but carries no fault injector and keeps the classic
+        #: pi_H / pi_P future cost: it is the independent engine that
+        #: survives faults in the interval machinery *and* in pi_GR.
         self._fallback: Optional[NetConnector] = None
 
     def _fallback_connector(self) -> NetConnector:
@@ -251,8 +244,8 @@ class DetailedRouter:
                 access_paths=self.connector.access_paths,
                 planner=self.planner,
                 use_interval_search=False,
-                search_kernel="heap",
             )
+            self._fallback.corridor_future_cost = False
         return self._fallback
 
     # ------------------------------------------------------------------

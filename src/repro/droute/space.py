@@ -57,7 +57,6 @@ class RoutingSpace:
         chip: Chip,
         track_plan: Optional[TrackPlan] = None,
         fast_grid_enabled: bool = True,
-        fast_grid_vectorized: Optional[bool] = None,
         lazy_fixed: Optional[bool] = None,
     ) -> None:
         self.chip = chip
@@ -79,7 +78,6 @@ class RoutingSpace:
             self.checker,
             list(chip.wire_types.values()),
             enabled=fast_grid_enabled,
-            vectorized=fast_grid_vectorized,
         )
         #: Cross-search cache of track interval decompositions, shared by
         #: every GraphView over this space; epoch-validated, so mutations

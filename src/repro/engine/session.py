@@ -159,7 +159,6 @@ class RoutingSession:
         track_plan: Optional[TrackPlan] = None,
         workers: int = 1,
         region_timeout_s: Optional[float] = None,
-        search_kernel=None,
         shard_store=None,
     ) -> None:
         self.chip = chip
@@ -179,10 +178,6 @@ class RoutingSession:
         #: to this session (full runs via the flow and ECO reroutes).
         self.workers = max(1, int(workers))
         self.region_timeout_s = region_timeout_s
-        #: Path-search kernel (``heap``/``bucket``, droute/pathsearch.py)
-        #: forwarded to every DetailedRouter bound to this session, so
-        #: ECO reroutes search with the same engine as the full run.
-        self.search_kernel = search_kernel
         #: Sharing phases per ECO pass: warm-started prices converge much
         #: faster than a cold solve, so a fraction of the full phase
         #: count suffices (Sec. 2.3's reuse argument applied to ECOs).
@@ -616,7 +611,6 @@ class RoutingSession:
                 session=self,
                 workers=self.workers,
                 region_timeout_s=self.region_timeout_s,
-                search_kernel=self.search_kernel,
             )
             result = detailed.run(dirty_nets)
             report.ripups_propagated = len(self.dirty.propagated_names())
@@ -631,7 +625,7 @@ class RoutingSession:
             if cleanup:
                 from repro.baseline.cleanup import DrcCleanup
 
-                DrcCleanup(self.space, search_kernel=self.search_kernel).run()
+                DrcCleanup(self.space).run()
 
             self.dirty.clear()
         report.wire_length = self.space.total_wire_length()

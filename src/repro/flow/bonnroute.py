@@ -90,7 +90,6 @@ class BonnRouteFlow:
         session=None,
         workers: int = 1,
         region_timeout_s: Optional[float] = None,
-        search_kernel=None,
         shard_store=None,
     ) -> None:
         self.chip = chip
@@ -123,9 +122,6 @@ class BonnRouteFlow:
         #: independent.
         self.workers = max(1, int(workers))
         self.region_timeout_s = region_timeout_s
-        #: Path-search kernel name/instance (``heap``/``bucket``; see
-        #: droute/pathsearch.py) used by every detailed-routing stage.
-        self.search_kernel = search_kernel
 
     # ------------------------------------------------------------------
     # Checkpoint helpers
@@ -273,7 +269,6 @@ class BonnRouteFlow:
             threads=self.threads,
             fault_injector=self.fault_injector,
             net_deadline_s=self.net_timeout_s,
-            search_kernel=self.search_kernel,
         )
         pre_result = pre_router.run(local_nets)
         # Unrouted local nets re-enter the main detailed stage, so only
@@ -362,7 +357,6 @@ class BonnRouteFlow:
             session=session,
             workers=self.workers,
             region_timeout_s=self.region_timeout_s,
-            search_kernel=self.search_kernel,
         )
 
     # ------------------------------------------------------------------
@@ -412,7 +406,6 @@ class BonnRouteFlow:
                 corridor_margin_tiles=self.corridor_margin_tiles,
                 workers=self.workers,
                 region_timeout_s=self.region_timeout_s,
-                search_kernel=self.search_kernel,
                 shard_store=self.shard_store,
             )
         session = self.session
@@ -568,7 +561,7 @@ class BonnRouteFlow:
                 )
 
         if self.cleanup:
-            cleaner = DrcCleanup(space, search_kernel=self.search_kernel)
+            cleaner = DrcCleanup(space)
             OBS.flight_note("flow.stage", stage="cleanup")
             with OBS.trace("flow.cleanup"):
                 result.cleanup_report = cleaner.run()

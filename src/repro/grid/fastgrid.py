@@ -17,11 +17,8 @@ popping dict entries.
 Storage layout: one uint16 word per vertex, four legal bits (bit ``i`` for
 ``SHAPE_TYPES[i]``) plus four 3-bit ripup fields (bits ``4 + 3i``), with
 ``RIPUP_FIXED`` encoded as 7, and one 4-bit validity mask per vertex
-(bit ``i`` set once field ``i`` is computed).  The arrays are numpy
-(``uint16`` words, ``uint8`` masks) when available and the grid is
-constructed ``vectorized``; otherwise a pure-python
-``array('H')``/``bytearray`` fallback keeps numpy optional (mirroring the
-path-search label arrays).
+(bit ``i`` set once field ``i`` is computed), held per track in an
+``array('H')`` and a ``bytearray``.
 
 Edge usability is deduced from the two endpoint vertex words whenever only
 on-track wiring is present; where off-track shapes are nearby, a *dirty
@@ -45,7 +42,6 @@ themselves.
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -56,11 +52,6 @@ from repro.obs import OBS
 from repro.grid.trackgraph import TrackGraph, Vertex
 from repro.tech.layers import Direction
 from repro.tech.wiring import StickFigure, WireType
-
-try:  # numpy is optional; the packed arrays fall back to array('H').
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via vectorized=False
-    _np = None
 
 #: Shape types a fast-grid word stores, in order.
 SHAPE_TYPES = ("wire", "jog", "via_down", "via_up")
@@ -116,13 +107,9 @@ class _TrackWords:
 
     __slots__ = ("words", "valid")
 
-    def __init__(self, ncross: int, vectorized: bool) -> None:
-        if vectorized:
-            self.words = _np.zeros(ncross, dtype=_np.uint16)
-            self.valid = _np.zeros(ncross, dtype=_np.uint8)
-        else:
-            self.words = array("H", bytes(2 * ncross))
-            self.valid = bytearray(ncross)
+    def __init__(self, ncross: int) -> None:
+        self.words = array("H", bytes(2 * ncross))
+        self.valid = bytearray(ncross)
 
 
 class IntervalCache:
@@ -173,7 +160,6 @@ class FastGrid:
         checker: DistanceRuleChecker,
         wire_types: Sequence[WireType],
         enabled: bool = True,
-        vectorized: Optional[bool] = None,
     ) -> None:
         self.graph = graph
         self.checker = checker
@@ -181,11 +167,6 @@ class FastGrid:
         #: When disabled, every query goes straight to the checker
         #: (ablation baseline for the 5.29x speed-up statistic).
         self.enabled = enabled
-        if vectorized is None:
-            vectorized = not os.environ.get("REPRO_FASTGRID_NOVEC")
-        #: Packed-array sweeps require numpy; the scalar fallback keeps
-        #: identical packed storage in ``array('H')``.
-        self.vectorized = bool(vectorized) and _np is not None
         # (wiretype, z, t) -> packed per-track word array
         self._tracks: Dict[Tuple[str, int, int], _TrackWords] = {}
         # Vertices whose incident edges cannot be deduced from vertex
@@ -255,7 +236,7 @@ class FastGrid:
         key = (wire_type_name, z, t)
         tw = self._tracks.get(key)
         if tw is None:
-            tw = _TrackWords(len(self.graph.crosses[z]), self.vectorized)
+            tw = _TrackWords(len(self.graph.crosses[z]))
             self._tracks[key] = tw
         return tw
 
@@ -276,17 +257,10 @@ class FastGrid:
             return 0
         tw = self._track_words(wire_type_name, z, t)
         valid = tw.valid
-        if self.vectorized:
-            band_valid = valid[c_lo:c_hi + 1] & _BAND_VALID
-            missing = [
-                int(i) + c_lo
-                for i in _np.flatnonzero(band_valid != _BAND_VALID)
-            ]
-        else:
-            missing = [
-                c for c in range(c_lo, c_hi + 1)
-                if (valid[c] & _BAND_VALID) != _BAND_VALID
-            ]
+        missing = [
+            c for c in range(c_lo, c_hi + 1)
+            if (valid[c] & _BAND_VALID) != _BAND_VALID
+        ]
         if not missing:
             return 0
         wire_type = self.wire_types[wire_type_name]
@@ -314,14 +288,9 @@ class FastGrid:
         # Keep any via field an earlier single read already filled.
         words = tw.words
         keep = 0xFFFF ^ _BAND_BITS
-        if self.vectorized:
-            idx = _np.asarray(missing)
-            words[idx] = (words[idx] & keep) | _np.asarray(band_bits, _np.uint16)
-            valid[idx] |= _BAND_VALID
-        else:
-            for c, bits in zip(missing, band_bits):
-                words[c] = (words[c] & keep) | bits
-                valid[c] |= _BAND_VALID
+        for c, bits in zip(missing, band_bits):
+            words[c] = (words[c] & keep) | bits
+            valid[c] |= _BAND_VALID
         self.misses += len(missing)
         if OBS.enabled:
             OBS.count("fastgrid.misses", len(missing))
@@ -358,7 +327,7 @@ class FastGrid:
             self.hits += 1
             if OBS.enabled:
                 OBS.count("fastgrid.hits")
-            return int(tw.words[c])
+            return tw.words[c]
         self.misses += 1
         if OBS.enabled:
             OBS.count("fastgrid.misses")
@@ -377,11 +346,9 @@ class FastGrid:
     ) -> int:
         """Store field ``i`` at cross ``c``, set its validity bit, and
         return the vertex's updated word."""
-        bits = (int(tw.words[c]) & (0xFFFF ^ _FIELD_BITS[i])) | _pack_field(
-            i, *check
-        )
+        bits = (tw.words[c] & (0xFFFF ^ _FIELD_BITS[i])) | _pack_field(i, *check)
         tw.words[c] = bits
-        tw.valid[c] = tw.valid[c] | (1 << i)
+        tw.valid[c] |= 1 << i
         return bits
 
     def word(self, wire_type_name: str, vertex: Vertex) -> Word:
@@ -412,21 +379,16 @@ class FastGrid:
         tw = self._tracks.get((wire_type_name, z, t))
         if tw is None:
             return None
-        mask = int(tw.valid[c])
+        mask = tw.valid[c]
         if (mask & _BAND_VALID) != _BAND_VALID:
             return None
         return tuple(
             field if (mask >> i) & 1 else None
-            for i, field in enumerate(unpack_word(int(tw.words[c])))
+            for i, field in enumerate(unpack_word(tw.words[c]))
         )
 
     def cached_word_count(self) -> int:
         """Number of cached vertices (band fields filled) over all tracks."""
-        if self.vectorized:
-            return sum(
-                int(((tw.valid & _BAND_VALID) == _BAND_VALID).sum())
-                for tw in self._tracks.values()
-            )
         return sum(
             sum(1 for mask in tw.valid if (mask & _BAND_VALID) == _BAND_VALID)
             for tw in self._tracks.values()
@@ -548,9 +510,7 @@ class FastGrid:
         maximal runs of plainly usable vertices, plus singleton runs for
         vertices only usable by ripping foreign wiring (level <=
         ``ripup_level``).  ``forced_cs`` vertices count as plainly usable
-        regardless of their words (the source/target override).  The
-        vectorized path scans the packed word arrays with numpy; the
-        fallback walks them scalar — both produce identical runs.
+        regardless of their words (the source/target override).
         """
         runs: List[Tuple[int, int, bool]] = []
         for c_lo, c_hi in ranges:
@@ -570,25 +530,11 @@ class FastGrid:
                     self.hits += reused
                     if OBS.enabled:
                         OBS.count("fastgrid.hits", reused)
-                tw = self._tracks[(wire_type_name, z, t)]
-                if self.vectorized:
-                    seg = tw.words[c_lo:c_hi + 1]
-                    legal = (seg & 1).astype(bool)
-                    state = legal.view(_np.int8).copy()
-                    if ripup_level >= 0:
-                        enc = (seg >> 4) & 7
-                        rippable = (
-                            ~legal
-                            & (enc != _RIPUP_FIXED_ENC)
-                            & (enc <= ripup_level)
-                        )
-                        state[rippable] = 2
-                else:
-                    words = tw.words
-                    state = [
-                        self._state_for_bits(words[c], ripup_level)
-                        for c in range(c_lo, c_hi + 1)
-                    ]
+                words = self._tracks[(wire_type_name, z, t)].words
+                state = [
+                    self._state_for_bits(words[c], ripup_level)
+                    for c in range(c_lo, c_hi + 1)
+                ]
             if forced_cs:
                 for c in forced_cs:
                     if c_lo <= c <= c_hi:
@@ -610,20 +556,14 @@ class FastGrid:
 
     @staticmethod
     def _append_state_runs(
-        runs: List[Tuple[int, int, bool]], state, c_lo: int
+        runs: List[Tuple[int, int, bool]], state: List[int], c_lo: int
     ) -> None:
         n = len(state)
-        if _np is not None and isinstance(state, _np.ndarray):
-            change = _np.flatnonzero(state[1:] != state[:-1]) + 1
-            starts = [0] + [int(i) for i in change]
-        else:
-            starts = [0] + [
-                i for i in range(1, n) if state[i] != state[i - 1]
-            ]
+        starts = [0] + [i for i in range(1, n) if state[i] != state[i - 1]]
         starts.append(n)
         for k in range(len(starts) - 1):
             s, e = starts[k], starts[k + 1]
-            st = int(state[s])
+            st = state[s]
             if st == 1:
                 runs.append((c_lo + s, c_lo + e - 1, False))
             elif st == 2:
@@ -667,7 +607,7 @@ class FastGrid:
             c_lo, c_hi = cross_range[0], cross_range[-1]
             for t in track_range:
                 track_epochs[(z, t)] = track_epochs.get((z, t), 0) + 1
-            cleared = 0 if self.vectorized else bytes(c_hi - c_lo + 1)
+            cleared = bytes(c_hi - c_lo + 1)
             for wt_name in self.wire_types:
                 for t in track_range:
                     tw = self._tracks.get((wt_name, z, t))
@@ -719,20 +659,6 @@ class FastGrid:
         stored (array) order — no per-call sorting.
         """
         count = 0
-        if self.vectorized:
-            for tw in self._tracks.values():
-                valid_idx = _np.flatnonzero(
-                    (tw.valid & _BAND_VALID) == _BAND_VALID
-                )
-                if len(valid_idx) == 0:
-                    continue
-                count += 1
-                if len(valid_idx) > 1:
-                    band = tw.words[valid_idx] & _BAND_BITS
-                    contiguous = valid_idx[1:] == valid_idx[:-1] + 1
-                    same = band[1:] == band[:-1]
-                    count += int((~(contiguous & same)).sum())
-            return count
         for tw in self._tracks.values():
             previous_c: Optional[int] = None
             previous_word: Optional[int] = None

@@ -2,8 +2,16 @@
 
 The central invariant: the interval-based search returns exactly the
 node-based Dijkstra's optimal costs, with far fewer heap pops.
+
+``pathsearch_golden.json`` pins the exact ``(cost, vertices)`` of 285
+seeded searches (see :class:`TestKernelEquivalence`).  Regenerate it
+(only when a results change is intended) with::
+
+    PYTHONPATH=src python tests/test_pathsearch.py
 """
 
+import json
+import os
 import random
 
 import pytest
@@ -19,22 +27,81 @@ from repro.droute.future_cost import (
 )
 from repro.droute.intervals import GraphView
 from repro.droute.pathsearch import (
-    BucketKernel,
-    HeapKernel,
     interval_path_search,
     node_path_search,
     path_to_moves,
-    resolve_kernel,
 )
 from repro.droute.space import RoutingSpace
 from repro.geometry.rect import Rect
 from repro.tech.wiring import StickFigure
 
 
-@pytest.fixture(scope="module")
-def space():
+GOLDEN_FIXTURE = os.path.join(os.path.dirname(__file__), "pathsearch_golden.json")
+
+#: (name, instance seed, count, search, future cost, ripup level) of each
+#: golden set: pi_H, pi_GR, node search, ripup 3 and a warm interval cache.
+GOLDEN_SETS = (
+    ("interval_pi_h", 101, 200, "interval", "pi_h", -2),
+    ("interval_pi_gr", 202, 25, "interval", "pi_gr", -2),
+    ("node_pi_h", 303, 25, "node", "pi_h", -2),
+    ("interval_ripup3", 404, 25, "interval", "pi_h", 3),
+    ("interval_warm_cache", 505, 10, "interval", "pi_h", -2),
+)
+
+
+def make_space():
     spec = ChipSpec("pstest", rows=2, row_width_cells=5, net_count=5, seed=5)
     return RoutingSpace(generate_chip(spec))
+
+
+@pytest.fixture(scope="module")
+def space():
+    return make_space()
+
+
+def golden_instances(space, seed, count):
+    """``count`` seeded random (source, target) vertex pairs, s != t."""
+    rng = random.Random(seed)
+    graph = space.graph
+    out = []
+    while len(out) < count:
+        z1 = rng.choice(graph.stack.indices)
+        z2 = rng.choice(graph.stack.indices)
+        s = (z1, rng.randrange(len(graph.tracks[z1])),
+             rng.randrange(len(graph.crosses[z1])))
+        t = (z2, rng.randrange(len(graph.tracks[z2])),
+             rng.randrange(len(graph.crosses[z2])))
+        if s != t:
+            out.append((s, t))
+    return out
+
+
+def solve_golden(space, s, t, entry):
+    """One golden-set search; JSON-shaped ``[cost, vertices]`` or None."""
+    costs = SearchCosts()
+    area = RoutingArea.everywhere()
+    view = GraphView(space, "default", area, ripup_level=entry["ripup"],
+                     forced_vertices={s, t})
+    if entry["pi"] == "pi_h":
+        pi = FutureCostH(space.graph, [t], costs)
+    else:
+        pi = FutureCostGR(space.graph, [t], costs, area,
+                          view=view, stop_vertices={s})
+    search = (
+        interval_path_search if entry["search"] == "interval" else node_path_search
+    )
+    result = search(view, {s: 0}, {t}, costs, pi)
+    if result is None:
+        return None
+    return [result.cost, [list(v) for v in result.vertices]]
+
+
+def _load_golden():
+    with open(GOLDEN_FIXTURE) as fh:
+        return {entry["name"]: entry for entry in json.load(fh)["sets"]}
+
+
+GOLDEN = _load_golden() if os.path.exists(GOLDEN_FIXTURE) else {}
 
 
 def _run_both(space, s, t, ripup=-2):
@@ -222,138 +289,65 @@ class TestBlockagesAndRipup:
 
 
 class TestKernelEquivalence:
-    """The heap and bucket kernels are interchangeable engines.
+    """Every search reproduces its recorded answer, vertex for vertex.
 
-    Both break priority ties FIFO by insertion order, so they pop labels
-    in the identical order and must return not just the same optimal
-    cost but the *identical vertex path* on every instance.
+    Ties pop FIFO by insertion order, so the returned path (not just its
+    optimal cost) is part of the search's contract.  The golden answers
+    in ``pathsearch_golden.json`` were recorded while a heap and a bucket
+    kernel both shipped and agreed on every instance; replaying them
+    keeps that equivalence checked against the one remaining kernel.
     """
 
-    def _instances(self, space, seed, count):
-        rng = random.Random(seed)
-        graph = space.graph
-        out = []
-        while len(out) < count:
-            z1 = rng.choice(graph.stack.indices)
-            z2 = rng.choice(graph.stack.indices)
-            s = (z1, rng.randrange(len(graph.tracks[z1])),
-                 rng.randrange(len(graph.crosses[z1])))
-            t = (z2, rng.randrange(len(graph.tracks[z2])),
-                 rng.randrange(len(graph.crosses[z2])))
-            if s != t:
-                out.append((s, t))
-        return out
-
-    def _run_kernels(self, space, s, t, search, pi_factory, ripup=-2):
-        costs = SearchCosts()
-        area = RoutingArea.everywhere()
-        results = []
-        for kernel in ("heap", "bucket"):
-            view = GraphView(space, "default", area, ripup_level=ripup,
-                             forced_vertices={s, t})
-            pi = pi_factory(space, view, s, t, costs, area)
-            results.append(
-                search(view, {s: 0}, {t}, costs, pi, kernel=kernel)
-            )
-        return results
-
     @staticmethod
-    def _pi_h(space, view, s, t, costs, area):
-        return FutureCostH(space.graph, [t], costs)
-
-    @staticmethod
-    def _pi_gr(space, view, s, t, costs, area):
-        return FutureCostGR(space.graph, [t], costs, area,
-                            view=view, stop_vertices={s})
+    def _replay(space, set_name):
+        entry = GOLDEN[set_name]
+        cases = entry["cases"]
+        assert len(cases) == entry["count"]
+        for case in cases:
+            s, t = tuple(case["s"]), tuple(case["t"])
+            assert solve_golden(space, s, t, entry) == case["answer"], f"{s} -> {t}"
 
     def test_interval_equivalence_200_instances(self, space):
         """>= 200 seeded instances: identical cost and identical path."""
-        for s, t in self._instances(space, seed=101, count=200):
-            heap_r, bucket_r = self._run_kernels(
-                space, s, t, interval_path_search, self._pi_h
-            )
-            assert (heap_r is None) == (bucket_r is None), f"{s} -> {t}"
-            if heap_r is None:
-                continue
-            assert heap_r.cost == bucket_r.cost, f"{s} -> {t}"
-            assert heap_r.vertices == bucket_r.vertices, f"{s} -> {t}"
+        self._replay(space, "interval_pi_h")
 
     def test_interval_equivalence_under_pi_gr(self, space):
-        for s, t in self._instances(space, seed=202, count=25):
-            heap_r, bucket_r = self._run_kernels(
-                space, s, t, interval_path_search, self._pi_gr
-            )
-            assert (heap_r is None) == (bucket_r is None), f"{s} -> {t}"
-            if heap_r is None:
-                continue
-            assert heap_r.cost == bucket_r.cost, f"{s} -> {t}"
-            assert heap_r.vertices == bucket_r.vertices, f"{s} -> {t}"
+        self._replay(space, "interval_pi_gr")
 
     def test_node_equivalence(self, space):
-        for s, t in self._instances(space, seed=303, count=25):
-            heap_r, bucket_r = self._run_kernels(
-                space, s, t, node_path_search, self._pi_h
-            )
-            assert (heap_r is None) == (bucket_r is None), f"{s} -> {t}"
-            if heap_r is None:
-                continue
-            assert heap_r.cost == bucket_r.cost, f"{s} -> {t}"
-            assert heap_r.vertices == bucket_r.vertices, f"{s} -> {t}"
+        self._replay(space, "node_pi_h")
 
     def test_equivalence_with_ripup_penalties(self, space):
-        for s, t in self._instances(space, seed=404, count=25):
-            heap_r, bucket_r = self._run_kernels(
-                space, s, t, interval_path_search, self._pi_h, ripup=3
-            )
-            assert (heap_r is None) == (bucket_r is None), f"{s} -> {t}"
-            if heap_r is None:
-                continue
-            assert heap_r.cost == bucket_r.cost, f"{s} -> {t}"
-            assert heap_r.vertices == bucket_r.vertices, f"{s} -> {t}"
+        self._replay(space, "interval_ripup3")
+
+    def test_golden_covers_unreachable_case(self):
+        answers = [c["answer"] for e in GOLDEN.values() for c in e["cases"]]
+        assert len(answers) == sum(count for _, _, count, *_ in GOLDEN_SETS)
+        assert any(a is None for a in answers), "no unreachable case"
 
     def test_equivalence_with_warm_interval_cache(self, space):
-        """heap == bucket with the cross-search interval cache warm.
+        """Golden paths with the cross-search interval cache warm.
 
         The second pass must actually serve runs out of the cache
         (interval_cache_hits > 0) and still return identical paths.
         """
         from repro.obs import OBS
 
+        entry = GOLDEN["interval_warm_cache"]
+        cases = [
+            (tuple(c["s"]), tuple(c["t"]), c["answer"]) for c in entry["cases"]
+        ]
         space.interval_cache.clear()
-        instances = self._instances(space, seed=505, count=10)
-        for s, t in instances:  # warm pass populates the cache
-            self._run_kernels(space, s, t, interval_path_search, self._pi_h)
+        for s, t, _answer in cases:  # warm pass populates the cache
+            solve_golden(space, s, t, entry)
         OBS.reset()
         OBS.configure(enabled=True)
         try:
-            for s, t in instances:
-                heap_r, bucket_r = self._run_kernels(
-                    space, s, t, interval_path_search, self._pi_h
-                )
-                assert (heap_r is None) == (bucket_r is None), f"{s} -> {t}"
-                if heap_r is None:
-                    continue
-                assert heap_r.cost == bucket_r.cost, f"{s} -> {t}"
-                assert heap_r.vertices == bucket_r.vertices, f"{s} -> {t}"
+            for s, t, answer in cases:
+                assert solve_golden(space, s, t, entry) == answer, f"{s} -> {t}"
             assert OBS.counters.get("fastgrid.interval_cache_hits", 0) > 0
         finally:
             OBS.reset()
-
-    def test_resolve_kernel(self):
-        assert isinstance(resolve_kernel("heap"), HeapKernel)
-        assert isinstance(resolve_kernel("bucket"), BucketKernel)
-        assert isinstance(resolve_kernel(None), BucketKernel)
-        kernel = HeapKernel()
-        assert resolve_kernel(kernel) is kernel
-        with pytest.raises(ValueError):
-            resolve_kernel("fibonacci")
-
-    def test_bucket_kernel_reuses_arrays_per_graph(self, space):
-        kernel = BucketKernel()
-        f1 = kernel.new_search(space.graph)
-        f2 = kernel.new_search(space.graph)
-        assert f1._arrays is f2._arrays
-        assert f2._gen > f1._gen  # generation bump invalidates f1's labels
 
 
 class TestFutureCosts:
@@ -511,3 +505,22 @@ class TestFutureCosts:
         assert (r_h is None) == (r_p is None)
         if r_h is not None:
             assert r_h.cost == r_p.cost
+
+
+if __name__ == "__main__":
+    golden_space = make_space()
+    blocks = []
+    for name, seed, count, search, pi, ripup in GOLDEN_SETS:
+        entry = {"name": name, "seed": seed, "count": count,
+                 "search": search, "pi": pi, "ripup": ripup}
+        lines = [
+            json.dumps({"s": s, "t": t,
+                        "answer": solve_golden(golden_space, s, t, entry)},
+                       separators=(",", ":"))
+            for s, t in golden_instances(golden_space, seed, count)
+        ]
+        head = json.dumps(entry, separators=(",", ":"))[:-1]
+        blocks.append(head + ',"cases":[\n' + ",\n".join(lines) + "\n]}")
+    with open(GOLDEN_FIXTURE, "w") as fh:
+        fh.write('{"sets": [\n' + ",\n".join(blocks) + "\n]}\n")
+    print(f"wrote {len(blocks)} sets to {GOLDEN_FIXTURE}")

@@ -319,11 +319,12 @@ def _apply_soup(space, ops):
 
 
 class TestPackedWordsMatchScalar:
-    """The numpy-packed word path must equal the scalar fallback exactly.
+    """Packed cached words must equal uncached scalar words exactly.
 
-    Both grids store the same uint16 encoding; on identical shape soups
-    every word (and its pack/unpack round trip against a fresh
-    ``_compute_word``) must agree bit for bit.
+    On identical shape soups every word a caching grid serves from its
+    packed uint16 arrays must agree bit for bit with a disabled grid's
+    (which computes every word afresh) and with a fresh
+    ``_compute_word``, and survive a pack/unpack round trip.
     """
 
     @settings(max_examples=6, deadline=None)
@@ -334,24 +335,25 @@ class TestPackedWordsMatchScalar:
         )
         rng = random.Random(seed)
         ops = _soup_ops(chip, rng)
-        vec = RoutingSpace(chip, fast_grid_vectorized=True)
-        scal = RoutingSpace(chip, fast_grid_vectorized=False)
-        assert vec.fast_grid.vectorized or scal.fast_grid.vectorized is False
-        _apply_soup(vec, ops)
-        _apply_soup(scal, ops)
-        graph = vec.graph
+        packed = RoutingSpace(chip)
+        scalar = RoutingSpace(chip, fast_grid_enabled=False)
+        _apply_soup(packed, ops)
+        _apply_soup(scalar, ops)
+        graph = packed.graph
         for _ in range(30):
             z = rng.choice(chip.stack.indices)
             t = rng.randrange(len(graph.tracks[z]))
             c = rng.randrange(len(graph.crosses[z]))
             vertex = (z, t, c)
-            w_vec = vec.fast_grid.word("default", vertex)
-            w_scal = scal.fast_grid.word("default", vertex)
-            assert w_vec == w_scal, f"packed != scalar at {vertex}"
-            fresh = vec.fast_grid._compute_word(
-                vec.fast_grid.wire_types["default"], vertex
+            w_packed = packed.fast_grid.word("default", vertex)
+            # A second read is served from the packed arrays.
+            assert packed.fast_grid.word("default", vertex) == w_packed
+            w_scalar = scalar.fast_grid.word("default", vertex)
+            assert w_packed == w_scalar, f"packed != scalar at {vertex}"
+            fresh = packed.fast_grid._compute_word(
+                packed.fast_grid.wire_types["default"], vertex
             )
-            assert w_vec == fresh, f"cached != fresh at {vertex}"
+            assert w_packed == fresh, f"cached != fresh at {vertex}"
             assert unpack_word(pack_word(fresh)) == fresh
 
     def test_batch_fill_equals_single_lookups(self):
@@ -359,8 +361,8 @@ class TestPackedWordsMatchScalar:
             ChipSpec("vecbatch", rows=2, row_width_cells=4, net_count=4, seed=4)
         )
         ops = _soup_ops(chip, random.Random(7))
-        batch = RoutingSpace(chip, fast_grid_vectorized=True)
-        single = RoutingSpace(chip, fast_grid_vectorized=True)
+        batch = RoutingSpace(chip)
+        single = RoutingSpace(chip)
         _apply_soup(batch, ops)
         _apply_soup(single, ops)
         z, t = 3, 1
@@ -390,7 +392,7 @@ class TestLazyFieldsMatchFresh:
     invalidations clear whole masks; a random interleaving of the four
     read paths (``ensure_words``, ``vertex_usable``, ``edge_usable``,
     ``word``) with wire/via insertions and removals in one window must
-    never expose a stale or wrongly packed field, on either backend.
+    never expose a stale or wrongly packed field.
     """
 
     @settings(max_examples=6, deadline=None)
@@ -399,100 +401,99 @@ class TestLazyFieldsMatchFresh:
         chip = generate_chip(
             ChipSpec("lazyprop", rows=2, row_width_cells=4, net_count=4, seed=4)
         )
-        for vectorized in (True, False):
-            rng = random.Random(seed)
-            space = RoutingSpace(chip, fast_grid_vectorized=vectorized)
-            graph = space.graph
-            fast = space.fast_grid
-            wire_type = fast.wire_types["default"]
-            # A window around a random vertex, so writes hit cached reads.
-            z0 = rng.choice(chip.stack.indices)
-            x0, y0, _ = graph.position((
-                z0,
-                rng.randrange(len(graph.tracks[z0])),
-                rng.randrange(len(graph.crosses[z0])),
-            ))
-            reach = 2 * chip.stack[z0].pitch
-            window = {
-                z: graph.vertices_in_rect(
-                    z, x0 - reach, y0 - reach, x0 + reach, y0 + reach
-                )
-                for z in chip.stack.indices
-            }
-            layers = [z for z in chip.stack.indices if window[z]]
-            live = []
-            for step in range(60):
-                z = rng.choice(layers)
-                vertex = rng.choice(window[z])
-                ripup = rng.choice((-2, 1, 3))
-                op = rng.choice(
-                    ("add", "add", "remove", "ensure", "usable", "usable",
-                     "edge", "word")
-                )
-                if op == "add":
-                    net = f"lazy{step}"
-                    off_track = rng.random() < 0.3
-                    x, y, _ = graph.position(vertex)
-                    shift = chip.stack[z].pitch // 3 if off_track else 0
-                    if rng.random() < 0.3 and z in chip.stack.via_layers():
-                        space.add_via(
-                            net, "default", ViaInstance(z, x + shift, y),
-                            ripup_level=rng.choice((1, 2, 3)),
-                            off_track=off_track,
-                        )
-                    else:
-                        _z, t, c = vertex
-                        c1 = min(c + rng.randrange(1, 3), len(graph.crosses[z]) - 1)
-                        x1, y1, _ = graph.position((z, t, c1))
-                        if x == x1:
-                            x, x1 = x + shift, x1 + shift
-                        else:
-                            y, y1 = y + shift, y1 + shift
-                        space.add_wire(
-                            net, "default", StickFigure(z, x, y, x1, y1),
-                            ripup_level=rng.choice((1, 2, 3)),
-                            off_track=off_track,
-                        )
-                    live.append(net)
-                elif op == "remove" and live:
-                    space.remove_net_route(live.pop(rng.randrange(len(live))))
-                elif op == "ensure":  # the window's span of the track
-                    _z, t, _c = vertex
-                    span = [c for (_, tt, c) in window[z] if tt == t]
-                    lo, hi = min(span), max(span)
-                    fast.ensure_words("default", z, t, lo, hi)
-                    for cc in range(lo, hi + 1):
-                        got = fast.cached_word("default", z, t, cc)
-                        fresh = fast._compute_word(wire_type, (z, t, cc))
-                        assert got[:2] == fresh[:2], (vectorized, step, cc)
-                        for field, want in zip(got[2:], fresh[2:]):
-                            assert field in (None, want), (vectorized, step, cc)
-                elif op == "usable":
-                    i = rng.randrange(len(SHAPE_TYPES))
-                    fresh = fast._compute_word(wire_type, vertex)
-                    assert fast.vertex_usable(
-                        "default", vertex, SHAPE_TYPES[i], ripup
-                    ) == _field_usable(fresh[i], ripup), (vectorized, step, i)
-                elif op == "edge":
-                    upper = graph.via_partner(vertex, z + 1)
-                    if upper is None:
-                        continue
-                    expected = _field_usable(
-                        fast._compute_word(wire_type, vertex)[3], ripup
-                    ) and _field_usable(
-                        fast._compute_word(wire_type, upper)[2], ripup
+        rng = random.Random(seed)
+        space = RoutingSpace(chip)
+        graph = space.graph
+        fast = space.fast_grid
+        wire_type = fast.wire_types["default"]
+        # A window around a random vertex, so writes hit cached reads.
+        z0 = rng.choice(chip.stack.indices)
+        x0, y0, _ = graph.position((
+            z0,
+            rng.randrange(len(graph.tracks[z0])),
+            rng.randrange(len(graph.crosses[z0])),
+        ))
+        reach = 2 * chip.stack[z0].pitch
+        window = {
+            z: graph.vertices_in_rect(
+                z, x0 - reach, y0 - reach, x0 + reach, y0 + reach
+            )
+            for z in chip.stack.indices
+        }
+        layers = [z for z in chip.stack.indices if window[z]]
+        live = []
+        for step in range(60):
+            z = rng.choice(layers)
+            vertex = rng.choice(window[z])
+            ripup = rng.choice((-2, 1, 3))
+            op = rng.choice(
+                ("add", "add", "remove", "ensure", "usable", "usable",
+                 "edge", "word")
+            )
+            if op == "add":
+                net = f"lazy{step}"
+                off_track = rng.random() < 0.3
+                x, y, _ = graph.position(vertex)
+                shift = chip.stack[z].pitch // 3 if off_track else 0
+                if rng.random() < 0.3 and z in chip.stack.via_layers():
+                    space.add_via(
+                        net, "default", ViaInstance(z, x + shift, y),
+                        ripup_level=rng.choice((1, 2, 3)),
+                        off_track=off_track,
                     )
-                    assert fast.edge_usable(
-                        "default", vertex, upper, "via", ripup
-                    ) == expected, (vectorized, step)
-                elif op == "word":
-                    assert fast.word("default", vertex) == fast._compute_word(
-                        wire_type, vertex
-                    ), (vectorized, step)
+                else:
+                    _z, t, c = vertex
+                    c1 = min(c + rng.randrange(1, 3), len(graph.crosses[z]) - 1)
+                    x1, y1, _ = graph.position((z, t, c1))
+                    if x == x1:
+                        x, x1 = x + shift, x1 + shift
+                    else:
+                        y, y1 = y + shift, y1 + shift
+                    space.add_wire(
+                        net, "default", StickFigure(z, x, y, x1, y1),
+                        ripup_level=rng.choice((1, 2, 3)),
+                        off_track=off_track,
+                    )
+                live.append(net)
+            elif op == "remove" and live:
+                space.remove_net_route(live.pop(rng.randrange(len(live))))
+            elif op == "ensure":  # the window's span of the track
+                _z, t, _c = vertex
+                span = [c for (_, tt, c) in window[z] if tt == t]
+                lo, hi = min(span), max(span)
+                fast.ensure_words("default", z, t, lo, hi)
+                for cc in range(lo, hi + 1):
+                    got = fast.cached_word("default", z, t, cc)
+                    fresh = fast._compute_word(wire_type, (z, t, cc))
+                    assert got[:2] == fresh[:2], (step, cc)
+                    for field, want in zip(got[2:], fresh[2:]):
+                        assert field in (None, want), (step, cc)
+            elif op == "usable":
+                i = rng.randrange(len(SHAPE_TYPES))
+                fresh = fast._compute_word(wire_type, vertex)
+                assert fast.vertex_usable(
+                    "default", vertex, SHAPE_TYPES[i], ripup
+                ) == _field_usable(fresh[i], ripup), (step, i)
+            elif op == "edge":
+                upper = graph.via_partner(vertex, z + 1)
+                if upper is None:
+                    continue
+                expected = _field_usable(
+                    fast._compute_word(wire_type, vertex)[3], ripup
+                ) and _field_usable(
+                    fast._compute_word(wire_type, upper)[2], ripup
+                )
+                assert fast.edge_usable(
+                    "default", vertex, upper, "via", ripup
+                ) == expected, step
+            elif op == "word":
+                assert fast.word("default", vertex) == fast._compute_word(
+                    wire_type, vertex
+                ), step
 
 
 def _reference_runs(fast, type_name, z, t, ranges, ripup_level, forced):
-    """The pre-vectorization per-vertex decomposition, as an oracle."""
+    """The per-vertex decomposition (one usability query each), as an oracle."""
     runs = []
     for c_lo, c_hi in ranges:
         run_start = None
@@ -525,8 +526,8 @@ def _reference_runs(fast, type_name, z, t, ranges, ripup_level, forced):
 class TestScannedIntervalsMatchPerVertex:
     """Word-level interval scans must equal the per-vertex decomposition.
 
-    ``scan_track_runs`` (numpy diff over packed words, or its scalar
-    twin) and the GraphView materialization on top of it must reproduce
+    ``scan_track_runs`` (a word-state diff over the packed words) and the
+    GraphView materialization on top of it must reproduce
     the old per-vertex loop exactly — same run boundaries, same ripup
     singletons — on random soups, with and without forced vertices.
     """
@@ -539,41 +540,40 @@ class TestScannedIntervalsMatchPerVertex:
         )
         rng = random.Random(seed)
         ops = _soup_ops(chip, rng)
-        for vectorized in (True, False):
-            space = RoutingSpace(chip, fast_grid_vectorized=vectorized)
-            _apply_soup(space, ops)
-            fast = space.fast_grid
-            graph = space.graph
-            area = RoutingArea.everywhere()
-            for _ in range(10):
-                z = rng.choice(chip.stack.indices)
-                t = rng.randrange(len(graph.tracks[z]))
-                ripup = rng.choice((-2, 1, 3))
-                forced = set()
-                if rng.random() < 0.5:
-                    forced.add((z, t, rng.randrange(len(graph.crosses[z]))))
-                ranges = tuple(area.cross_ranges(graph, z, t))
-                expected = _reference_runs(
-                    fast, "default", z, t, ranges, ripup, forced
+        space = RoutingSpace(chip)
+        _apply_soup(space, ops)
+        fast = space.fast_grid
+        graph = space.graph
+        area = RoutingArea.everywhere()
+        for _ in range(10):
+            z = rng.choice(chip.stack.indices)
+            t = rng.randrange(len(graph.tracks[z]))
+            ripup = rng.choice((-2, 1, 3))
+            forced = set()
+            if rng.random() < 0.5:
+                forced.add((z, t, rng.randrange(len(graph.crosses[z]))))
+            ranges = tuple(area.cross_ranges(graph, z, t))
+            expected = _reference_runs(
+                fast, "default", z, t, ranges, ripup, forced
+            )
+            got = fast.scan_track_runs(
+                "default", z, t, ranges, ripup,
+                {v[2] for v in forced} or None,
+            )
+            assert got == expected, (
+                f"scan != per-vertex at z={z} t={t} ripup={ripup} "
+                f"forced={forced}"
+            )
+            # The view's materialized intervals agree too (and the
+            # cross-search cache returns the same runs on a rebuild).
+            for _round in range(2):
+                view = GraphView(
+                    space, "default", area, ripup_level=ripup,
+                    forced_vertices=forced,
                 )
-                got = fast.scan_track_runs(
-                    "default", z, t, ranges, ripup,
-                    {v[2] for v in forced} or None,
-                )
-                assert got == expected, (
-                    f"scan != per-vertex at z={z} t={t} ripup={ripup} "
-                    f"forced={forced} (vectorized={vectorized})"
-                )
-                # The view's materialized intervals agree too (and the
-                # cross-search cache returns the same runs on a rebuild).
-                for _round in range(2):
-                    view = GraphView(
-                        space, "default", area, ripup_level=ripup,
-                        forced_vertices=forced,
-                    )
-                    made = [
-                        (iv.c_lo, iv.c_hi, iv.needs_ripup)
-                        for _c, idx in view.track_intervals(z, t)
-                        for iv in [view.interval(idx)]
-                    ]
-                    assert made == expected
+                made = [
+                    (iv.c_lo, iv.c_hi, iv.needs_ripup)
+                    for _c, idx in view.track_intervals(z, t)
+                    for iv in [view.interval(idx)]
+                ]
+                assert made == expected
