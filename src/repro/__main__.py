@@ -284,7 +284,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
                 space.add_via(route.net_name, type_name, via, level)
     window = None
     try:
-        if getattr(args, "window", None):
+        if args.window:
             window = _parse_window(args.window)
         rendering = render_layer(space, args.layer, width=args.width, window=window)
     except ValueError as error:
@@ -353,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="route each partition round's regions on N worker "
-        "processes under a crash-tolerant supervisor (1 = in-process "
-        "serial; results are bit-identical either way)",
+        "processes under a crash-tolerant supervisor (1 = every round "
+        "in-process; results are bit-identical either way)",
     )
     route.add_argument(
         "--region-timeout", type=float, default=None, metavar="SECONDS",
@@ -364,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     route.add_argument(
         "--checkpoint", default=None, metavar="PATH",
-        help="write stage checkpoints to PATH (JSON); with --workers, "
-        "also a round-granular checkpoint after each partition round",
+        help="write stage checkpoints to PATH (JSON), plus a "
+        "round-granular checkpoint after each partition round",
     )
     route.add_argument(
         "--resume", action="store_true",
@@ -430,26 +430,20 @@ def build_parser() -> argparse.ArgumentParser:
     drc.add_argument("--verbose", action="store_true")
     drc.set_defaults(func=_cmd_drc)
 
-    render = sub.add_parser("render", help="ASCII-render one layer")
+    render = sub.add_parser(
+        "render",
+        aliases=["viz"],
+        help="ASCII-render one layer, optionally clipped to a window",
+    )
     render.add_argument("chip")
     render.add_argument("--routes", default=None)
     render.add_argument("--layer", type=int, default=1)
     render.add_argument("--width", type=int, default=100)
-    render.set_defaults(func=_cmd_render)
-
-    viz = sub.add_parser(
-        "viz",
-        help="ASCII-render one layer, optionally clipped to a window",
-    )
-    viz.add_argument("chip")
-    viz.add_argument("--routes", default=None)
-    viz.add_argument("--layer", type=int, default=1)
-    viz.add_argument("--width", type=int, default=100)
-    viz.add_argument(
+    render.add_argument(
         "--window", default=None, metavar="X_LO,Y_LO,X_HI,Y_HI",
         help="clip the rendering to this die rectangle (dbu)",
     )
-    viz.set_defaults(func=_cmd_render)
+    render.set_defaults(func=_cmd_render)
     return parser
 
 

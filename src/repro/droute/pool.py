@@ -8,7 +8,9 @@ Workers run *first attempts only* — the baseline escalation rung forbids
 ripup, so a first attempt never disturbs another region's wiring — and
 send serialized route deltas back over a queue; the parent merges them
 in region-index order (:meth:`repro.droute.router.DetailedRouter.
-_merge_outcomes`), which reproduces the serial net order bit for bit.
+_merge_outcomes`), which reproduces the in-process net order bit for
+bit.  The pool only executes rounds: the schedule (critical nets,
+rounds, deferred drain) is the router's at every worker count.
 
 The supervisor assumes workers can die at any instant:
 
@@ -90,7 +92,9 @@ def _route_region(
         existing = router.space.routes.get(name)
         wires_before = len(existing.wires) if existing is not None else 0
         vias_before = len(existing.vias) if existing is not None else 0
-        connection, error = router.first_attempt(net, stage_deadline)
+        connection, error = router._attempt(
+            net, 0, router.ladder[0], stage_deadline
+        )
         if error is not None:
             errors[name] = error
             continue

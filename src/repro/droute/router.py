@@ -10,7 +10,12 @@ Orchestrates the full detailed-routing flow of the paper:
 4. failed nets climb the escalation ladder: growing ripup effort and
    expanded routing areas (the paper's retry discipline), then forced
    off-track access, then the ISR-baseline node search as a fallback
-   engine; nets ripped out by others re-enter the queue.
+   engine; retries and nets ripped out by others are deferred to one
+   drain after the last round.
+
+The schedule is the same at every worker count; with ``workers > 1`` a
+multi-region round's first attempts run on a crash-tolerant process
+pool (:mod:`repro.droute.pool`).
 
 A net that exhausts the ladder is recorded as a structured
 :class:`~repro.flow.resilience.NetFailure` instead of raising, so one
@@ -113,10 +118,11 @@ class DetailedRoutingResult:
 class _RunState:
     """Cross-queue bookkeeping of one detailed-routing run.
 
-    The retry ladder may be driven by several queue drains (critical
-    nets, then per-round serial or post-merge redo queues); attempt
-    counts, rung histories and the ripped-net log must survive across
-    them so the ping-pong guard and failure records see the whole run.
+    The retry ladder is driven by several queue drains (critical nets,
+    each round or post-merge redo queue, the final deferred drain);
+    attempt counts, rung histories and the ripped-net log must survive
+    across them so the ping-pong guard and failure records see the
+    whole run.
     """
 
     __slots__ = (
@@ -170,18 +176,18 @@ class DetailedRouter:
         self.space = space
         self.chip = space.chip
         #: Number of real worker processes for the partition rounds
-        #: (Sec. 5.1); 1 keeps the historical single-process path.
-        #: ``threads`` still controls the partition *structure* (region
-        #: counts per round), so the net order — and therefore the
-        #: routing result — is independent of the worker count.
+        #: (Sec. 5.1); 1 runs every round in-process.  ``threads``
+        #: controls the partition *structure* (region counts per round),
+        #: so the net order — and therefore the routing result — is
+        #: independent of the worker count.
         self.workers = max(1, int(workers))
         #: Per-region wall-clock deadline the pool supervisor enforces on
         #: workers (None: no deadline; hung workers are then only bounded
         #: by the stage budget).
         self.region_timeout_s = region_timeout_s
         #: Optional callable ``(round_index, result) -> None`` invoked
-        #: after each completed partition round (parallel path only);
-        #: the flow uses it for round-granular checkpoints.
+        #: after each completed partition round; the flow uses it for
+        #: round-granular checkpoints.
         self.round_checkpoint = round_checkpoint
         #: Optional :class:`repro.engine.session.RoutingSession`.  When
         #: set, corridors/detours come from the session records, the pin
@@ -282,26 +288,6 @@ class DetailedRouter:
                 self.planner.reserve(path)
                 self.connector.access_paths[pin_name] = path
 
-    # ------------------------------------------------------------------
-    # Net ordering
-    # ------------------------------------------------------------------
-    def _order_nets(self, nets: Sequence[Net]) -> List[Net]:
-        """Critical nets first (Sec. 5.1), then partition-round order."""
-        critical = sorted(
-            (n for n in nets if n.weight > 1.0),
-            key=lambda n: (-n.weight, n.half_perimeter()),
-        )
-        ordinary = [n for n in nets if n.weight <= 1.0]
-        sequence = partition_sequence(self.chip, self.threads)
-        rounds = assign_nets_to_rounds(self.chip, sequence, ordinary)
-        ordered: List[Net] = list(critical)
-        for round_nets in rounds:
-            round_sorted = sorted(
-                round_nets, key=lambda item: (item[0], item[1].half_perimeter())
-            )
-            ordered.extend(net for _region, net in round_sorted)
-        return ordered
-
     def _area_for(
         self, net: Net, expansion: Optional[int] = 0
     ) -> Tuple[RoutingArea, float]:
@@ -329,10 +315,61 @@ class DetailedRouter:
         )
         return Deadline.soonest(net_deadline, stage_deadline)
 
+    def _attempt(
+        self,
+        net: Net,
+        attempt: int,
+        rung: EscalationRung,
+        stage_deadline: Optional[Deadline],
+    ):
+        """One ``connect_net`` try of ``net`` on ``rung``.
+
+        Returns ``(connection_or_None, error_text_or_None)`` and commits
+        wiring into ``self.space`` on success.  The in-process queue and
+        the pool's workers both route through here.
+        """
+        area, detour = self._area_for(net, expansion=rung.corridor_expansion)
+        connector = (
+            self._fallback_connector() if rung.engine == "isr" else self.connector
+        )
+        deadline = self._attempt_deadline(stage_deadline)
+        try:
+            with OBS.trace(
+                "droute.net", net=net.name, attempt=attempt, rung=rung.name
+            ):
+                connection = connector.connect_net(
+                    net,
+                    area,
+                    max_ripup_level=rung.ripup_level,
+                    corridor_detour=detour,
+                    deadline=deadline,
+                    force_off_track_access=rung.force_off_track_access,
+                )
+        except Exception as error:  # noqa: BLE001 - isolation boundary
+            # Per-net isolation: an injected or genuine fault in the
+            # search machinery costs one attempt, not the chip.
+            return None, f"{type(error).__name__}: {error}"
+        return connection, None
+
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def run(self, nets: Optional[Sequence[Net]] = None) -> DetailedRoutingResult:
+        """Route ``nets`` (default: all) on the Sec. 5.1 schedule.
+
+        The schedule is the same at every worker count.  Critical nets
+        route first, then each partition round's nets in
+        (region, half-perimeter) order, then one drain of everything
+        deferred: retries, escalations and re-queued ripped nets, in the
+        order they were appended.  A round goes to the worker pool when
+        it has more than one region and the pool is up; workers run the
+        round's first attempts only (the baseline rung forbids ripup, so
+        a first attempt never disturbs another region's wiring), and the
+        merge replays them in region order.  Pooled output is therefore
+        bit-identical to in-process output whenever the safety margins
+        keep the regions independent; the merge redoes the rare
+        violations in-process.
+        """
         start = time.time()
         if nets is None:
             nets = self.chip.nets
@@ -344,11 +381,59 @@ class DetailedRouter:
             with OBS.trace("droute.pin_access", nets=len(nets)):
                 self.preprocess_pin_access(nets)
         state = _RunState(nets)
-        if self.workers > 1:
-            self._run_parallel(list(nets), result, state, stage_deadline)
-        else:
-            queue = [(net, 0) for net in self._order_nets(nets)]
-            self._route_queue(queue, result, state, stage_deadline)
+        supervisor = self._pool_supervisor(result)
+        critical = sorted(
+            (n for n in nets if n.weight > 1.0),
+            key=lambda n: (-n.weight, n.half_perimeter()),
+        )
+        ordinary = [n for n in nets if n.weight <= 1.0]
+        sequence = partition_sequence(self.chip, self.threads)
+        rounds = assign_nets_to_rounds(self.chip, sequence, ordinary)
+        deferred: List[Tuple[Net, int]] = []
+        self._route_queue(
+            [(net, 0) for net in critical], result, state, stage_deadline, deferred
+        )
+        for round_index, round_nets in enumerate(rounds):
+            ordered = sorted(
+                round_nets, key=lambda item: (item[0], item[1].half_perimeter())
+            )
+            by_region: Dict[int, List[Net]] = {}
+            for region, net in ordered:
+                by_region.setdefault(region, []).append(net)
+            budget_left = stage_deadline is None or not stage_deadline.expired
+            self._prefetch_shards(sequence[round_index], by_region)
+            if (
+                supervisor is not None
+                and not supervisor.degraded
+                and len(by_region) > 1
+                and budget_left
+            ):
+                round_start = time.time()
+                with OBS.trace(
+                    "pool.round",
+                    round=round_index,
+                    regions=len(by_region),
+                    nets=len(ordered),
+                ):
+                    outcomes = supervisor.run_round(
+                        round_index, by_region, stage_deadline
+                    )
+                if OBS.enabled:
+                    OBS.count("pool.rounds_parallel")
+                    OBS.observe("pool.round_wall_s", time.time() - round_start)
+                self._merge_outcomes(
+                    by_region, outcomes, result, state, stage_deadline, deferred
+                )
+            elif ordered:
+                if OBS.enabled:
+                    OBS.count("pool.rounds_serial")
+                self._route_queue(
+                    [(net, 0) for _region, net in ordered],
+                    result, state, stage_deadline, deferred,
+                )
+            if self.round_checkpoint is not None:
+                self.round_checkpoint(round_index, result)
+        self._route_queue(deferred, result, state, stage_deadline, deferred)
         result.wire_length = self.space.total_wire_length()
         result.via_count = self.space.total_via_count()
         result.runtime = time.time() - start
@@ -397,19 +482,14 @@ class DetailedRouter:
         result: DetailedRoutingResult,
         state: _RunState,
         stage_deadline: Optional[Deadline],
-        defer: Optional[List[Tuple[Net, int]]] = None,
+        deferred: List[Tuple[Net, int]],
     ) -> None:
         """Drain ``queue`` through the escalation ladder.
 
-        This is the historical serial main loop.  ``defer`` changes one
-        thing only: retries and re-queued ripped nets append to that
-        list instead of ``queue``.  The parallel path routes sub-queues
-        (critical nets, per-round serial redo) with a shared ``defer``
-        list and drains it at the very end — which lands every deferred
-        net in exactly the position the single-queue serial run would
-        have given it (appends always land behind all first attempts).
+        Retries and re-queued ripped nets append to ``deferred``, the
+        run's one list of later attempts; the final drain passes that
+        list as both ``queue`` and ``deferred``.
         """
-        retry_sink = defer if defer is not None else queue
         while queue:
             if stage_deadline is not None and stage_deadline.expired:
                 # Hard budget: everything still queued becomes a
@@ -460,31 +540,10 @@ class DetailedRouter:
                 or state.rungs_tried[net.name][-1] != rung.name
             ):
                 state.rungs_tried[net.name].append(rung.name)
-            area, detour = self._area_for(net, expansion=rung.corridor_expansion)
-            connector = (
-                self._fallback_connector()
-                if rung.engine == "isr"
-                else self.connector
-            )
-            deadline = self._attempt_deadline(stage_deadline)
+            connection, error = self._attempt(net, attempt, rung, stage_deadline)
             failure_reason: Optional[str] = None
-            connection = None
-            try:
-                with OBS.trace(
-                    "droute.net", net=net.name, attempt=attempt, rung=rung.name
-                ):
-                    connection = connector.connect_net(
-                        net,
-                        area,
-                        max_ripup_level=rung.ripup_level,
-                        corridor_detour=detour,
-                        deadline=deadline,
-                        force_off_track_access=rung.force_off_track_access,
-                    )
-            except Exception as error:  # noqa: BLE001 - isolation boundary
-                # Per-net isolation: an injected or genuine fault in the
-                # search machinery costs one attempt, not the chip.
-                state.last_error[net.name] = f"{type(error).__name__}: {error}"
+            if error is not None:
+                state.last_error[net.name] = error
                 failure_reason = REASON_EXCEPTION
             if connection is not None:
                 result.stats.merge(connection.stats)
@@ -509,7 +568,7 @@ class DetailedRouter:
                             continue
                         state.ripped_names.add(ripped_name)
                         result.routed.discard(ripped_name)
-                        retry_sink.append(
+                        deferred.append(
                             (ripped_net, state.attempt_counts.get(ripped_name, 0))
                         )
                 if connection.deadline_expired:
@@ -535,7 +594,7 @@ class DetailedRouter:
             if next_attempt < len(self.ladder) and self.retry_policy.allows(
                 next_attempt
             ):
-                retry_sink.append((net, next_attempt))
+                deferred.append((net, next_attempt))
             else:
                 opens = (
                     connection.open_connections
@@ -548,27 +607,12 @@ class DetailedRouter:
                 result.open_connections += opens
 
     # ------------------------------------------------------------------
-    # Parallel execution (Sec. 5.1 with real worker processes)
+    # Worker pool (Sec. 5.1 with real worker processes)
     # ------------------------------------------------------------------
-    def _run_parallel(
-        self,
-        nets: List[Net],
-        result: DetailedRoutingResult,
-        state: _RunState,
-        stage_deadline: Optional[Deadline],
-    ) -> None:
-        """Partition rounds on a crash-tolerant worker pool.
-
-        Workers run *first attempts only* (the baseline rung forbids
-        ripup, so first attempts never disturb other nets' wiring); every
-        failed first attempt is deferred to a parent-side queue drained
-        serially after the last round.  Appends to the single serial
-        queue always land behind all first attempts, so this split
-        reproduces the serial net order exactly — N-worker output is
-        bit-identical to serial whenever the Sec. 5.1 safety margins keep
-        the regions' first attempts independent (merge detects and
-        serially redoes the rare violations).
-        """
+    def _pool_supervisor(self, result: DetailedRoutingResult):
+        """The run's pool, or None when every round runs in-process."""
+        if self.workers == 1:
+            return None
         from repro.droute import pool as pool_mod
 
         if not pool_mod.fork_available():
@@ -579,67 +623,10 @@ class DetailedRouter:
             if OBS.enabled:
                 OBS.count("pool.degraded")
                 OBS.event("pool.degraded", reason="no_fork")
-            queue = [(net, 0) for net in self._order_nets(nets)]
-            self._route_queue(queue, result, state, stage_deadline)
-            return
-        critical = sorted(
-            (n for n in nets if n.weight > 1.0),
-            key=lambda n: (-n.weight, n.half_perimeter()),
+            return None
+        return pool_mod.PoolSupervisor(
+            self, result, workers=self.workers, region_timeout_s=self.region_timeout_s
         )
-        ordinary = [n for n in nets if n.weight <= 1.0]
-        sequence = partition_sequence(self.chip, self.threads)
-        rounds = assign_nets_to_rounds(self.chip, sequence, ordinary)
-        deferred: List[Tuple[Net, int]] = []
-        if critical:
-            self._route_queue(
-                [(net, 0) for net in critical],
-                result, state, stage_deadline, defer=deferred,
-            )
-        supervisor = pool_mod.PoolSupervisor(
-            self,
-            result,
-            workers=self.workers,
-            region_timeout_s=self.region_timeout_s,
-        )
-        for round_index, round_nets in enumerate(rounds):
-            ordered = sorted(
-                round_nets, key=lambda item: (item[0], item[1].half_perimeter())
-            )
-            by_region: Dict[int, List[Net]] = {}
-            for region, net in ordered:
-                by_region.setdefault(region, []).append(net)
-            budget_left = stage_deadline is None or not stage_deadline.expired
-            self._prefetch_shards(sequence[round_index], by_region)
-            if ordered and len(by_region) > 1 and budget_left and not supervisor.degraded:
-                round_start = time.time()
-                with OBS.trace(
-                    "pool.round",
-                    round=round_index,
-                    regions=len(by_region),
-                    nets=len(ordered),
-                ):
-                    outcomes = supervisor.run_round(
-                        round_index, by_region, stage_deadline
-                    )
-                if OBS.enabled:
-                    OBS.count("pool.rounds_parallel")
-                    OBS.observe("pool.round_wall_s", time.time() - round_start)
-                self._merge_outcomes(
-                    by_region, outcomes, result, state, stage_deadline, deferred
-                )
-            elif ordered:
-                if OBS.enabled:
-                    OBS.count("pool.rounds_serial")
-                self._route_queue(
-                    [(net, 0) for _region, net in ordered],
-                    result, state, stage_deadline, defer=deferred,
-                )
-            if self.round_checkpoint is not None:
-                self.round_checkpoint(round_index, result)
-        result.pool_degraded = result.pool_degraded or supervisor.degraded
-        # Global drain: retries, escalations and re-queued ripped nets,
-        # in the exact order the single-queue serial run appends them.
-        self._route_queue(deferred, result, state, stage_deadline)
 
     def _prefetch_shards(self, partition_round, by_region: Dict[int, List[Net]]) -> None:
         """Warm the session's shard store for this round's active regions.
@@ -669,11 +656,11 @@ class DetailedRouter:
     ) -> None:
         """Fold one round's worker outcomes back into the parent state.
 
-        Regions merge in index order (the serial processing order).  A
+        Regions merge in index order (the in-process routing order).  A
         worker-routed net commits only if its wiring is still DRC-legal
         against everything merged before it; conflicts — possible only
         when the safety margins were too tight — are redone in-process
-        immediately, at the net's serial queue position.
+        immediately, at the net's in-process queue position.
         """
         merged = 0
         conflicts = 0
@@ -684,10 +671,10 @@ class DetailedRouter:
                 if outcome is None:
                     # The region's worker(s) died beyond the retry budget
                     # (or the pool degraded): route it in-process at its
-                    # serial position.
+                    # queue position.
                     self._route_queue(
                         [(net, 0) for net in region_nets],
-                        result, state, stage_deadline, defer=deferred,
+                        result, state, stage_deadline, deferred,
                     )
                     continue
                 result.stats.merge(outcome["stats"])
@@ -704,7 +691,7 @@ class DetailedRouter:
                     payload = outcome["routed"].get(name)
                     if payload is None:
                         # Failed first attempt: defer exactly like the
-                        # serial loop's `queue.append((net, 1))`.
+                        # in-process queue's `deferred.append((net, 1))`.
                         deferred.append((state.nets_by_name[name], 1))
                         continue
                     if self._replay_worker_route(name, payload):
@@ -740,7 +727,7 @@ class DetailedRouter:
                             0, state.attempt_counts.get(net.name, 0) - 1
                         )
                     self._route_queue(
-                        redo, result, state, stage_deadline, defer=deferred
+                        redo, result, state, stage_deadline, deferred
                     )
         if OBS.enabled:
             OBS.count("pool.nets_merged", merged)
@@ -769,29 +756,3 @@ class DetailedRouter:
                 level, off_track=True,
             )
         return True
-
-    def first_attempt(self, net: Net, stage_deadline: Optional[Deadline] = None):
-        """One baseline-rung attempt; the worker-process routing step.
-
-        Returns ``(connection_or_None, error_text_or_None)``; commits
-        wiring into ``self.space`` on success, exactly like the first
-        iteration of :meth:`_route_queue` for a fresh net.
-        """
-        rung = self.ladder[0]
-        area, detour = self._area_for(net, expansion=rung.corridor_expansion)
-        deadline = self._attempt_deadline(stage_deadline)
-        try:
-            with OBS.trace(
-                "droute.net", net=net.name, attempt=0, rung=rung.name
-            ):
-                connection = self.connector.connect_net(
-                    net,
-                    area,
-                    max_ripup_level=rung.ripup_level,
-                    corridor_detour=detour,
-                    deadline=deadline,
-                    force_off_track_access=rung.force_off_track_access,
-                )
-        except Exception as error:  # noqa: BLE001 - isolation boundary
-            return None, f"{type(error).__name__}: {error}"
-        return connection, None

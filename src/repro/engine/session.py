@@ -335,6 +335,8 @@ class RoutingSession:
         Convenience wrapper: builds a
         :class:`~repro.flow.bonnroute.BonnRouteFlow` bound to this
         session (import deferred to avoid the flow <-> engine cycle).
+        The detailed stage runs on this session's ``workers`` and
+        ``region_timeout_s``.
         """
         from repro.flow.bonnroute import BonnRouteFlow
 

@@ -116,12 +116,14 @@ class BonnRouteFlow:
         self.stage_budget_s = stage_budget_s
         self.checkpoint_path = checkpoint_path
         self.resume = resume
-        #: Worker processes for the main detailed stage (Sec. 5.1);
-        #: 1 keeps the single-process path.  ``threads`` still defines
-        #: the partition structure, so results are worker-count
-        #: independent.
-        self.workers = max(1, int(workers))
-        self.region_timeout_s = region_timeout_s
+        #: Worker-pool settings of a session this flow creates itself
+        #: (Sec. 5.1).  The main detailed stage always reads them from
+        #: the session it routes into, so a given session's own
+        #: settings win.
+        self._pool_settings = {
+            "workers": workers,
+            "region_timeout_s": region_timeout_s,
+        }
 
     # ------------------------------------------------------------------
     # Checkpoint helpers
@@ -355,8 +357,8 @@ class BonnRouteFlow:
             net_deadline_s=self.net_timeout_s,
             stage_budget_s=self.stage_budget_s,
             session=session,
-            workers=self.workers,
-            region_timeout_s=self.region_timeout_s,
+            workers=session.workers,
+            region_timeout_s=session.region_timeout_s,
         )
 
     # ------------------------------------------------------------------
@@ -404,9 +406,8 @@ class BonnRouteFlow:
                 threads=self.threads,
                 seed=self.seed,
                 corridor_margin_tiles=self.corridor_margin_tiles,
-                workers=self.workers,
-                region_timeout_s=self.region_timeout_s,
                 shard_store=self.shard_store,
+                **self._pool_settings,
             )
         session = self.session
         result.session = session
@@ -463,10 +464,10 @@ class BonnRouteFlow:
             )
 
         if detailed_result is None:
-            # A round-granular partial (written by the parallel pool
-            # after each partition round) lets the resume skip nets
-            # already resolved before the kill; their wiring was
-            # re-committed by _replay_routes above.
+            # A round-granular partial (written after each partition
+            # round) lets the resume skip nets already resolved before
+            # the kill; their wiring was re-committed by _replay_routes
+            # above.
             partial_result: Optional[DetailedRoutingResult] = None
             if checkpoint is not None and checkpoint.get("detailed_partial"):
                 partial_data = checkpoint["detailed_partial"]

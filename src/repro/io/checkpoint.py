@@ -104,8 +104,9 @@ def build_checkpoint(
     exactly where the killed run stood.
 
     ``detailed_partial`` marks a round-granular mid-detailed-routing
-    checkpoint (written by the parallel pool after each completed
-    partition round): ``{"rounds_done": k, "summary": ...}``.  The key
+    checkpoint (written by the detailed router after each completed
+    partition round, at any worker count):
+    ``{"rounds_done": k, "summary": ...}``.  The key
     is optional and absent from stage-boundary checkpoints, so the
     document stays a valid version-2 checkpoint either way — old readers
     simply resume from the global stage boundary.

@@ -80,14 +80,28 @@ class TestDetailedRouter:
         assert result.wire_length > 0
         assert result.via_count > 0
 
-    def test_critical_nets_first(self, routed):
-        chip, _space, router, _result = routed
-        order = router._order_nets(chip.nets)
-        weights = [n.weight for n in order]
-        first_normal = next(
-            (i for i, w in enumerate(weights) if w <= 1.0), len(weights)
+    def test_critical_nets_first(self):
+        # Record the first attempts in the order the run makes them.
+        chip = generate_chip(
+            ChipSpec("crtest", rows=3, row_width_cells=6, net_count=10, seed=7)
         )
-        assert all(w > 1.0 for w in weights[:first_normal])
+        chip.nets[7].weight = 2.0
+        chip.nets[3].weight = 3.0
+        router = DetailedRouter(RoutingSpace(chip))
+        first_tries = []
+        attempt = router._attempt
+
+        def recording_attempt(net, attempt_index, rung, stage_deadline):
+            if attempt_index == 0 and net.name not in first_tries:
+                first_tries.append(net.name)
+            return attempt(net, attempt_index, rung, stage_deadline)
+
+        router._attempt = recording_attempt
+        router.run()
+        assert first_tries[:2] == ["n3", "n7"]
+        assert sorted(first_tries[2:]) == sorted(
+            net.name for net in chip.nets if net.weight <= 1.0
+        )
 
     def test_summary_fields(self, routed):
         *_, result = routed

@@ -1,0 +1,114 @@
+"""Golden digests of whole detailed-routing runs (Sec. 5.1 schedule).
+
+``droute_golden.json`` pins, for each run below, a SHA-1 of every net's
+sorted wires and vias plus the failed set, ``retries`` and
+``escalations``:
+
+* the serial :class:`DetailedRouter` on the ``pooltest`` chip, chip
+  seeds 11, 41 and 5;
+* the ISR baseline flow (:class:`IsrFlow`) on the same chips;
+* a :class:`BonnRouteFlow` run on the seed-11 chip.
+
+The digests do not depend on ``PYTHONHASHSEED``.  Regenerate the file
+(only when a results change is intended) with::
+
+    PYTHONPATH=src python tests/test_droute_golden.py
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from repro.chip.generator import ChipSpec, generate_chip
+from repro.droute.router import DetailedRouter
+from repro.droute.space import RoutingSpace
+from repro.flow.bonnroute import BonnRouteFlow
+from repro.flow.isr_flow import IsrFlow
+
+GOLDEN_FIXTURE = os.path.join(os.path.dirname(__file__), "droute_golden.json")
+
+#: Chip seeds of the ``pooltest`` spec the serial and ISR runs cover.
+CHIP_SEEDS = (11, 41, 5)
+
+
+def pooltest_chip(seed):
+    return generate_chip(
+        ChipSpec("pooltest", rows=3, row_width_cells=6, net_count=12, seed=seed)
+    )
+
+
+def route_digest(space):
+    """SHA-1 over every net's sorted wire and via tuples."""
+    items = []
+    for name in sorted(space.routes):
+        route = space.routes[name]
+        wires = sorted(
+            (t, lv, s.layer, s.x0, s.y0, s.x1, s.y1)
+            for s, lv, t in route.wire_items()
+        )
+        vias = sorted((t, lv, v.via_layer, v.x, v.y) for v, lv, t in route.via_items())
+        items.append([name, wires, vias])
+    return hashlib.sha1(json.dumps(items).encode()).hexdigest()
+
+
+def _record(space, detailed):
+    return {
+        "digest": route_digest(space),
+        "failed": sorted(detailed.failed),
+        "retries": detailed.retries,
+        "escalations": detailed.escalations,
+    }
+
+
+def run_detailed(seed):
+    space = RoutingSpace(pooltest_chip(seed))
+    result = DetailedRouter(space).run()
+    return _record(space, result)
+
+
+def run_isr(seed):
+    result = IsrFlow(pooltest_chip(seed), cleanup=False).run()
+    return _record(result.space, result.detailed_result)
+
+
+def run_bonnroute(seed):
+    result = BonnRouteFlow(
+        pooltest_chip(seed), gr_phases=4, seed=1, cleanup=False
+    ).run()
+    return _record(result.space, result.detailed_result)
+
+
+#: Entry name -> (run producing its record, chip seed).
+RUNS = dict(
+    [(f"detailed_{s}", (run_detailed, s)) for s in CHIP_SEEDS]
+    + [(f"isr_{s}", (run_isr, s)) for s in CHIP_SEEDS]
+    + [("bonnroute_11", (run_bonnroute, 11))]
+)
+
+
+def _load_golden():
+    with open(GOLDEN_FIXTURE) as fh:
+        return json.load(fh)
+
+
+GOLDEN = _load_golden() if os.path.exists(GOLDEN_FIXTURE) else {}
+
+
+def test_golden_covers_every_run():
+    assert sorted(GOLDEN) == sorted(RUNS)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_reproduces_golden(name):
+    run, seed = RUNS[name]
+    assert run(seed) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    golden = {name: run(seed) for name, (run, seed) in sorted(RUNS.items())}
+    with open(GOLDEN_FIXTURE, "w") as fh:
+        json.dump(golden, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(golden)} runs to {GOLDEN_FIXTURE}")

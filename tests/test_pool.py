@@ -1,8 +1,11 @@
 """Tests for the crash-tolerant parallel detailed-routing pool (Sec. 5.1).
 
-Determinism comparisons run serial and parallel in the *same* process:
-the serial baseline itself is hash-seed sensitive across interpreter
-launches, so cross-process comparisons would test the wrong thing.
+The router runs one schedule at every worker count (critical nets,
+partition rounds, one deferred drain); the pool only executes a round's
+first attempts.  Determinism comparisons therefore demand bit-identical
+routes between ``workers=1`` and ``workers > 1``.  The serial results
+themselves are pinned across interpreter launches and hash seeds by
+``tests/droute_golden.json``.
 """
 
 import random
@@ -185,7 +188,6 @@ class TestCrashRecovery:
         assert result.routed == serial.routed
 
 
-@needs_fork
 class TestRoundCheckpointResume:
     def _flow(self, **kwargs):
         from repro.flow.bonnroute import BonnRouteFlow
@@ -195,7 +197,8 @@ class TestRoundCheckpointResume:
             **kwargs,
         )
 
-    def test_kill_after_round_one_resumes_to_same_result(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+    def test_kill_after_round_one_resumes_to_same_result(self, tmp_path, workers):
         import json
 
         path = str(tmp_path / "ckpt.json")
@@ -204,7 +207,7 @@ class TestRoundCheckpointResume:
         class Stop(Exception):
             pass
 
-        flow = self._flow(workers=2, checkpoint_path=path)
+        flow = self._flow(workers=workers, checkpoint_path=path)
         orig_save = flow._save_checkpoint
 
         def kill_after_first_round(*args, **kwargs):
@@ -223,7 +226,7 @@ class TestRoundCheckpointResume:
         assert checkpoint["detailed_partial"]["rounds_done"] == 1
 
         resumed = self._flow(
-            workers=2, checkpoint_path=path, resume=True
+            workers=workers, checkpoint_path=path, resume=True
         ).run()
         assert resumed.failure_report.resumed_from == "global+round1"
         assert resumed.metrics.netlength == baseline.metrics.netlength
@@ -231,6 +234,28 @@ class TestRoundCheckpointResume:
         assert (
             resumed.detailed_result.routed == baseline.detailed_result.routed
         )
+
+
+@needs_fork
+class TestSessionWorkers:
+    def test_full_route_uses_the_session_pool_settings(self, monkeypatch):
+        from repro.engine.session import RoutingSession
+
+        seen = []
+        original_run = DetailedRouter.run
+
+        def recording_run(router, nets=None):
+            if router.session is not None:
+                seen.append((router.workers, router.region_timeout_s))
+            return original_run(router, nets)
+
+        monkeypatch.setattr(DetailedRouter, "run", recording_run)
+        session = RoutingSession(
+            generate_chip(POOL_SPEC), gr_phases=4, seed=1,
+            workers=2, region_timeout_s=30.0,
+        )
+        session.route(cleanup=False)
+        assert seen == [(2, 30.0)]
 
 
 @needs_fork
