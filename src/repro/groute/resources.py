@@ -12,21 +12,28 @@ with allocated space w(n, e) + s consumes:
 
 Edge capacities are resources too (one per edge).  The oracle price of an
 edge (Eq. 1) minimizes the priced resource consumption over the extra
-space s >= 0, which this module solves in closed form: the objective is
-A*s + B/(1 + s/pitch) + const with A, B >= 0, minimized at
-s* = pitch * (sqrt(B / (A * pitch)) - 1), clamped to [0, s_max].
+space s in [0, s_max].  With both decay terms priced the objective is
+price_space*s + P*b*L/(1 + s) + Y*d*L/(1 + s)^2 (+ const), which this
+module minimizes by a golden-section search on the convex sum.  Each
+term alone has a closed form, and the sum has one through the positive
+root of a cubic; replacing the search by it is future work (ROADMAP,
+global routing, step 2), since it changes results.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.chip.net import Net
 from repro.groute.graph import Edge, GlobalRoutingGraph
 
 #: Names of the global (non-edge) resources.
 GLOBAL_RESOURCES = ("wirelength", "power", "yield")
+
+#: Golden-section step of the Eq. 1 search, and its stopping interval.
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SPACE_TOL = 1e-3
 
 
 def space_usage(width: float, s: float) -> float:
@@ -151,40 +158,76 @@ class ResourceModel:
         """(cost, s*) of using ``edge``: Eq. 1 minimized over s >= 0.
 
         ``edge_price`` is y_{r(e)} / u(e); ``global_prices`` maps each
-        global resource to y_r / u^r.
+        global resource to y_r / u^r.  The price terms are those of
+        :meth:`edge_usage` at s, added in the same order with the same
+        floating-point operations, without building the usage dict.
         """
-        width = self.net_width(net_name)
-        length = float(self.graph.edge_length(edge))
-        capacity = max(self.graph.capacity(edge), 1e-9)
+        width = self._net_width.get(net_name, 1.0)
+        length = self.graph.edge_length(edge)
+        capacity = max(self.graph.capacities.get(edge, 0.0), 1e-9)
         price_space = edge_price / capacity
-        usage0 = self.edge_usage(net_name, edge, 0.0)
+        if length > 0:
+            wirelength = float(length) * width
+        else:
+            via_penalty = float(self.graph.tile_size) / 4.0
+            wirelength = via_penalty * width
         base = price_space * width
-        base += global_prices.get("wirelength", 0.0) * usage0["wirelength"]
-        detour_key = f"detour:{net_name}"
-        if detour_key in usage0:
-            base += global_prices.get(detour_key, 0.0) * usage0[detour_key]
-        if length <= 0 or not self.optimize_spacing:
-            cost = base
-            for resource in ("power", "yield"):
-                if resource in usage0:
-                    cost += global_prices.get(resource, 0.0) * usage0[resource]
-            return cost, 0.0
-        # Power + yield decay terms: p(s) = length * (a + b / (1 + s)),
-        # y(s) = length * (c + d / (1 + s)^2); minimize
-        #   price_space * s + P*b*length/(1+s) + Y*d*length/(1+s)^2.
-        # A closed form exists for each term alone; with both we use a
-        # short golden-section search on the (convex) sum.
+        base += global_prices.get("wirelength", 0.0) * wirelength
+        if net_name in self.detour_resources:
+            base += global_prices.get(f"detour:{net_name}", 0.0) * wirelength
+        if length <= 0:
+            # Vias: no power term; yield counts the via penalty.
+            via_yield = 0.2 * via_penalty
+            return base + global_prices.get("yield", 0.0) * via_yield, 0.0
         price_power = global_prices.get("power", 0.0)
         price_yield = global_prices.get("yield", 0.0)
-
-        def objective(s: float) -> float:
-            value = price_space * s
-            value += price_power * power_usage(length, s)
-            value += price_yield * yield_loss(length, s)
-            return value
-
-        s_star = _minimize_convex(objective, 0.0, self.max_extra_space)
-        return base + objective(s_star), s_star
+        if not self.optimize_spacing:
+            cost = base + price_power * power_usage(length, 0.0)
+            return cost + price_yield * yield_loss(length, 0.0), 0.0
+        # Power + yield decay terms: p(s) = length * (a + b / (1 + s)),
+        # y(s) = length * (c + d / (1 + s)^2); minimize
+        #   f(s) = price_space * s + P * p(s) + Y * y(s)
+        # by a golden-section search on [0, max_extra_space].  f is
+        # written out at each evaluation with the operations of
+        # power_usage / yield_loss at pitch 1 (s / 1.0 == s exactly).
+        length = float(length)
+        lo = a = 0.0
+        b = self.max_extra_space
+        c = b - _INV_PHI * (b - a)
+        d = a + _INV_PHI * (b - a)
+        f_lo, fc, fd = [
+            price_space * s
+            + price_power * (length * (0.4 + 0.6 / (1.0 + s)))
+            + price_yield * (length * (0.1 + 0.9 / (1.0 + s) ** 2))
+            for s in (lo, c, d)
+        ]
+        while b - a > _SPACE_TOL:
+            left = fc < fd
+            if left:
+                b, d, fd = d, c, fc
+                s = c = b - _INV_PHI * (b - a)
+            else:
+                a, c, fc = c, d, fd
+                s = d = a + _INV_PHI * (b - a)
+            f = (
+                price_space * s
+                + price_power * (length * (0.4 + 0.6 / (1.0 + s)))
+                + price_yield * (length * (0.1 + 0.9 / (1.0 + s) ** 2))
+            )
+            if left:
+                fc = f
+            else:
+                fd = f
+        s_star = (a + b) / 2.0
+        f_star = (
+            price_space * s_star
+            + price_power * (length * (0.4 + 0.6 / (1.0 + s_star)))
+            + price_yield * (length * (0.1 + 0.9 / (1.0 + s_star) ** 2))
+        )
+        # The search interval's end 0 wins only if strictly cheaper.
+        if f_lo < f_star:
+            return base + f_lo, lo
+        return base + f_star, s_star
 
     def usage_summary(
         self, routes: Dict[str, "object"]
@@ -200,27 +243,3 @@ class ResourceModel:
                         totals[name] += usage[name]
         return totals
 
-
-def _minimize_convex(
-    objective: Callable[[float], float], lo: float, hi: float, tol: float = 1e-3
-) -> float:
-    """Golden-section minimum of a convex 1-D function on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = objective(d)
-    best = (a + b) / 2.0
-    for candidate in (lo, best):
-        if objective(candidate) <= objective(best):
-            best = candidate
-    return best

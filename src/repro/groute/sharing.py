@@ -34,6 +34,9 @@ from repro.groute.steiner_oracle import (
 #: One candidate solution of a net: frozen edge set + extra space tuple.
 SolutionKey = Tuple[Tuple[Edge, ...], Tuple[float, ...]]
 
+#: A solution's resource usage: (edge usage g_{r(e)}, global usage g_r).
+Usages = Tuple[Dict[Edge, float], Dict[str, float]]
+
 
 def _solution_key(result: OracleResult) -> SolutionKey:
     edges = tuple(sorted(result.edges))
@@ -128,9 +131,6 @@ class ResourceSharingSolver:
     # ------------------------------------------------------------------
     # Prices
     # ------------------------------------------------------------------
-    def _edge_price(self, edge: Edge) -> float:
-        return math.exp(self._log_price.get(edge, 0.0))
-
     def _global_prices(self) -> Dict[str, float]:
         out = {}
         for name, bound in self.model.bounds.items():
@@ -138,21 +138,35 @@ class ResourceSharingSolver:
         return out
 
     def _edge_cost_fn(self):
+        """The oracle's edge cost under the current prices, and its memo.
+
+        Prices stay fixed for the closure's lifetime (one oracle call in
+        :meth:`solve`, one block in :func:`solve_parallel_simulated`), so
+        each (net, edge) price is computed once; ``len(memo)`` counts
+        the prices computed.  The key holds the net because a block's
+        closure serves several nets.
+        """
         global_prices = self._global_prices()
+        log_price = self._log_price
+        priced_edge_cost = self.model.priced_edge_cost
+        exp = math.exp
+        memo: Dict[Tuple[str, Edge], Tuple[float, float]] = {}
 
         def edge_cost(net_name: str, edge: Edge) -> Tuple[float, float]:
-            return self.model.priced_edge_cost(
-                net_name, edge, self._edge_price(edge), global_prices
-            )
+            key = (net_name, edge)
+            cost = memo.get(key)
+            if cost is None:
+                cost = memo[key] = priced_edge_cost(
+                    net_name, edge, exp(log_price.get(edge, 0.0)), global_prices
+                )
+            return cost
 
-        return edge_cost
+        return edge_cost, memo
 
     # ------------------------------------------------------------------
     # Resource usage g_n^r(b)
     # ------------------------------------------------------------------
-    def _usages(
-        self, net_name: str, key: SolutionKey
-    ) -> Tuple[Dict[Edge, float], Dict[str, float]]:
+    def _usages(self, net_name: str, key: SolutionKey) -> Usages:
         """(edge usage g_{r(e)}, global usage g_r) of one solution."""
         edges, spaces = key
         edge_usage: Dict[Edge, float] = {}
@@ -171,9 +185,9 @@ class ResourceSharingSolver:
                     )
         return edge_usage, global_usage
 
-    def _solution_price(self, net_name: str, key: SolutionKey) -> float:
-        """sum_r y_r g_n^r(b) under current prices."""
-        edge_usage, global_usage = self._usages(net_name, key)
+    def _solution_price(self, usages: Usages) -> float:
+        """sum_r y_r g_n^r(b) under current prices, from :meth:`_usages`."""
+        edge_usage, global_usage = usages
         total = 0.0
         for edge, usage in edge_usage.items():
             total += math.exp(self._log_price.get(edge, 0.0)) * usage
@@ -190,7 +204,12 @@ class ResourceSharingSolver:
         terminals = {
             net.name: self.graph.net_terminals(net) for net in nets
         }
-        previous: Dict[str, Tuple[SolutionKey, float]] = {}
+        #: net -> (its last oracle solution, that solution's usages and
+        #: its price when computed).  Usages depend only on capacities
+        #: and bounds, which a solve does not change, so each solution's
+        #: are computed once and serve the reuse checks and the price
+        #: updates of later phases.
+        previous: Dict[str, Tuple[SolutionKey, Usages, float]] = {}
         #: Running resource-usage totals for the per-phase lambda estimate
         #: (sum over all recorded solutions; dividing by phases_run gives
         #: the congestion of the running average).  Maintained only while
@@ -209,12 +228,13 @@ class ResourceSharingSolver:
                 key = None
                 cached = previous.get(net.name)
                 if cached is not None:
-                    cached_key, cached_cost = cached
-                    current_cost = self._solution_price(net.name, cached_key)
+                    cached_key, usages, cached_cost = cached
+                    current_cost = self._solution_price(usages)
                     if current_cost <= self.reuse_threshold * cached_cost:
                         key = cached_key
                         solution.oracle_reuses += 1
                 if key is None:
+                    edge_cost, prices_computed = self._edge_cost_fn()
                     start = time.time()
                     try:
                         if self.fault_injector is not None:
@@ -225,7 +245,7 @@ class ResourceSharingSolver:
                             self.graph,
                             net.name,
                             terminals[net.name],
-                            self._edge_cost_fn(),
+                            edge_cost,
                             self.potential_scale,
                             potential_factory=self._potential_factory(),
                         )
@@ -237,13 +257,16 @@ class ResourceSharingSolver:
                         result = None
                     solution.oracle_time += time.time() - start
                     solution.oracle_calls += 1
+                    if OBS.enabled:
+                        OBS.count("sharing.edge_prices", len(prices_computed))
                     if result is None:
                         continue
                     key = _solution_key(result)
-                    previous[net.name] = (key, self._solution_price(net.name, key))
+                    usages = self._usages(net.name, key)
+                    previous[net.name] = (key, usages, self._solution_price(usages))
                 counts[net.name][key] = counts[net.name].get(key, 0) + 1
                 # Price update (Algorithm 2, line 7).
-                edge_usage, global_usage = self._usages(net.name, key)
+                edge_usage, global_usage = usages
                 for edge, usage in edge_usage.items():
                     if usage > 0:
                         self._log_price[edge] = (
@@ -393,7 +416,7 @@ def solve_parallel_simulated(
         for block_start in range(0, len(ordered), max(threads, 1)):
             block = ordered[block_start:block_start + max(threads, 1)]
             # One snapshot for the whole block: the concurrent reads.
-            edge_cost = solver._edge_cost_fn()
+            edge_cost, prices_computed = solver._edge_cost_fn()
             block_updates = []
             for net in block:
                 start = time.time()
@@ -408,6 +431,8 @@ def solve_parallel_simulated(
                 key = _solution_key(result)
                 counts[net.name][key] = counts[net.name].get(key, 0) + 1
                 block_updates.append((net.name, key))
+            if OBS.enabled:
+                OBS.count("sharing.edge_prices", len(prices_computed))
             # Prices advance only after the block (batched writes).
             for net_name, key in block_updates:
                 edge_usage, global_usage = solver._usages(net_name, key)

@@ -1,13 +1,15 @@
 """Tests for resources, the Steiner oracle, resource sharing, rounding."""
 
 import math
+import random
+from typing import Callable, Dict, Tuple
 
 import pytest
 
 from repro.chip.generator import ChipSpec, generate_chip
 from repro.grid.tracks import build_track_plan
 from repro.groute.capacity import estimate_capacities
-from repro.groute.graph import GlobalRoutingGraph
+from repro.groute.graph import Edge, GlobalRoutingGraph
 from repro.groute.resources import (
     ResourceModel,
     power_usage,
@@ -18,6 +20,7 @@ from repro.groute.rounding import RoundingPostprocessor
 from repro.groute.router import GlobalRouter
 from repro.groute.sharing import ResourceSharingSolver
 from repro.groute.steiner_oracle import path_composition_steiner_tree
+from repro.obs import OBS
 from repro.steiner.rsmt import steiner_length
 from repro.util.unionfind import UnionFind
 
@@ -98,6 +101,169 @@ class TestResourceModel:
         assert usage["power"] > 0
 
 
+# ----------------------------------------------------------------------
+# Reference Eq. 1 pricing: a verbatim copy of ResourceModel.priced_edge_cost
+# and _minimize_convex as they were before the pricing was inlined.  The
+# production code must return exactly (==) the same (cost, s*) pairs.
+# ----------------------------------------------------------------------
+def reference_priced_edge_cost(
+    self,
+    net_name: str,
+    edge: Edge,
+    edge_price: float,
+    global_prices: Dict[str, float],
+) -> Tuple[float, float]:
+    """(cost, s*) of using ``edge``: Eq. 1 minimized over s >= 0.
+
+    ``edge_price`` is y_{r(e)} / u(e); ``global_prices`` maps each
+    global resource to y_r / u^r.
+    """
+    width = self.net_width(net_name)
+    length = float(self.graph.edge_length(edge))
+    capacity = max(self.graph.capacity(edge), 1e-9)
+    price_space = edge_price / capacity
+    usage0 = self.edge_usage(net_name, edge, 0.0)
+    base = price_space * width
+    base += global_prices.get("wirelength", 0.0) * usage0["wirelength"]
+    detour_key = f"detour:{net_name}"
+    if detour_key in usage0:
+        base += global_prices.get(detour_key, 0.0) * usage0[detour_key]
+    if length <= 0 or not self.optimize_spacing:
+        cost = base
+        for resource in ("power", "yield"):
+            if resource in usage0:
+                cost += global_prices.get(resource, 0.0) * usage0[resource]
+        return cost, 0.0
+    # Power + yield decay terms: p(s) = length * (a + b / (1 + s)),
+    # y(s) = length * (c + d / (1 + s)^2); minimize
+    #   price_space * s + P*b*length/(1+s) + Y*d*length/(1+s)^2.
+    # A closed form exists for each term alone; with both we use a
+    # short golden-section search on the (convex) sum.
+    price_power = global_prices.get("power", 0.0)
+    price_yield = global_prices.get("yield", 0.0)
+
+    def objective(s: float) -> float:
+        value = price_space * s
+        value += price_power * power_usage(length, s)
+        value += price_yield * yield_loss(length, s)
+        return value
+
+    s_star = _reference_minimize_convex(objective, 0.0, self.max_extra_space)
+    return base + objective(s_star), s_star
+
+
+def _reference_minimize_convex(
+    objective: Callable[[float], float], lo: float, hi: float, tol: float = 1e-3
+) -> float:
+    """Golden-section minimum of a convex 1-D function on [lo, hi]."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = objective(d)
+    best = (a + b) / 2.0
+    for candidate in (lo, best):
+        if objective(candidate) <= objective(best):
+            best = candidate
+    return best
+
+
+@pytest.fixture(scope="module")
+def pricing_setup():
+    """A chip with wide nets, one detour-bounded net, and its graph."""
+    chip = generate_chip(
+        ChipSpec(
+            "gsprice", rows=3, row_width_cells=6, net_count=12, seed=3,
+            wide_net_fraction=0.5,
+        )
+    )
+    graph = GlobalRoutingGraph(chip)
+    estimate_capacities(graph, build_track_plan(chip))
+    wide = [n for n in chip.nets if n.wire_type == "wide"]
+    assert wide
+    bounded = next(n for n in chip.nets if n.wire_type != "wide")
+    bounded.detour_bound = 2 * bounded.half_perimeter()
+    nets = [wide[0].name, bounded.name, chip.nets[-1].name]
+    return chip, graph, nets
+
+
+class TestPricedEdgeCostExactness:
+    """The inlined Eq. 1 pricing equals the reference bit for bit."""
+
+    def _models(self, chip, graph):
+        return [
+            ResourceModel(graph, chip.nets),
+            ResourceModel(graph, chip.nets, optimize_spacing=False),
+            ResourceModel(graph, chip.nets, max_extra_space=0.75),
+        ]
+
+    def _edges(self, graph):
+        edges = sorted(graph.capacities)
+        assert any(graph.is_via_edge(e) for e in edges)
+        assert any(not graph.is_via_edge(e) for e in edges)
+        return edges
+
+    def test_edge_length_matches_tile_rects(self, pricing_setup):
+        _chip, graph, _nets = pricing_setup
+        for a, b in graph.edges():
+            if a[2] != b[2]:
+                expected = 0
+            else:
+                ax, ay = graph.tile_rect(a[0], a[1]).center
+                bx, by = graph.tile_rect(b[0], b[1]).center
+                expected = abs(ax - bx) + abs(ay - by)
+            assert graph.edge_length((a, b)) == expected
+
+    def test_random_prices(self, pricing_setup):
+        chip, graph, nets = pricing_setup
+        rng = random.Random(18)
+        edges = self._edges(graph)
+        for model in self._models(chip, graph):
+            detour_names = [f"detour:{n}" for n in model.detour_resources]
+            assert detour_names
+            for _trial in range(400):
+                edge = rng.choice(edges)
+                net = rng.choice(nets)
+                edge_price = math.exp(rng.uniform(-8.0, 8.0))
+                global_prices = {
+                    name: rng.choice((0.0, math.exp(rng.uniform(-12.0, 2.0))))
+                    for name in ("wirelength", "power", "yield", *detour_names)
+                }
+                assert model.priced_edge_cost(
+                    net, edge, edge_price, global_prices
+                ) == reference_priced_edge_cost(
+                    model, net, edge, edge_price, global_prices
+                )
+
+    def test_tie_returns_midpoint(self, pricing_setup):
+        """Zero space, power and yield prices make the Eq. 1 objective 0
+        at every s, so f(lo) == f(mid): the midpoint wins the tie, and the
+        wirelength and detour prices still enter the cost."""
+        chip, graph, nets = pricing_setup
+        model = ResourceModel(graph, chip.nets)
+        edge = next(e for e in self._edges(graph) if not graph.is_via_edge(e))
+        detour = f"detour:{nets[1]}"
+        for net, global_prices in (
+            (nets[0], {}),
+            (nets[0], {"wirelength": 0.5, "power": 0.0, "yield": 0.0}),
+            (nets[1], {"wirelength": 0.5, detour: 0.25}),
+        ):
+            cost, s_star = model.priced_edge_cost(net, edge, 0.0, global_prices)
+            assert (cost, s_star) == reference_priced_edge_cost(
+                model, net, edge, 0.0, global_prices
+            )
+            assert s_star > 0.0  # the midpoint, not lo = 0
+
+
 class TestSteinerOracle:
     def _cost_fn(self, graph):
         def edge_cost(_net, edge):
@@ -172,6 +338,33 @@ class TestResourceSharing:
         few = ResourceSharingSolver(graph, model, phases=3).solve(routable)
         many = ResourceSharingSolver(graph, model, phases=20).solve(routable)
         assert many.max_congestion <= few.max_congestion * 1.25
+
+    def test_edge_prices_counter_counts_memo_misses(self, setup):
+        """Each (net, edge) price is computed once per oracle call, and
+        ``sharing.edge_prices`` counts exactly those computations."""
+        chip, graph, _model = setup
+        model = ResourceModel(graph, chip.nets)
+        priced = model.priced_edge_cost
+        computed = []
+
+        def counting(net_name, edge, edge_price, global_prices):
+            computed.append((net_name, edge))
+            return priced(net_name, edge, edge_price, global_prices)
+
+        model.priced_edge_cost = counting
+        routable = [n for n in chip.nets if not graph.is_local_net(n)]
+        OBS.reset()
+        OBS.configure(enabled=True)
+        try:
+            fractional = ResourceSharingSolver(graph, model, phases=3).solve(
+                routable
+            )
+            counted = OBS.counters.get("sharing.edge_prices")
+        finally:
+            OBS.configure(enabled=False)
+            OBS.reset()
+        assert fractional.oracle_calls > 0
+        assert counted == len(computed) > 0
 
     def test_reuse_speeds_up_without_hurting(self, setup):
         chip, graph, model = setup
