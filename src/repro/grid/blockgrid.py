@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.geometry.hanan import refine_with_pitch
 from repro.geometry.rect import Rect
+from repro.util.heap import StateHeap
 
 Point = Tuple[int, int]
 
@@ -172,7 +173,7 @@ class BlockageGrid:
 
         Among equally short paths the one whose final state the heap
         pops first wins, so the heap's exact sequence of comparisons is
-        part of the result (see :class:`_StateHeap`).
+        part of the result (see :class:`repro.util.heap.StateHeap`).
         """
         xs, ys = self.xs, self.ys
         nx, ny = len(xs), len(ys)
@@ -197,7 +198,7 @@ class BlockageGrid:
         #: parent[state]: the predecessor state, or ``-1 - v`` when the
         #: state is a long arc straight out of source vertex v.
         parent = [0] * size
-        heap = _StateHeap()
+        heap = StateHeap()
         push, pop = heap.push, heap.pop
 
         for x, y in sources:
@@ -292,74 +293,6 @@ class BlockageGrid:
                 break
         points.reverse()
         return (dist[final_state], _simplify(points))
-
-
-class _StateHeap:
-    """Binary min-heap of search states with decrease-key.
-
-    A copy of :class:`repro.util.heap.AddressableHeap` specialised to
-    :meth:`BlockageGrid.shortest_path`: items are int states held in a
-    list parallel to their keys.  Sift-up and sift-down make the same
-    ``<=`` / ``<`` key comparisons in the same order as the generic
-    heap, so equal keys pop in the same order and the search returns
-    the same polyline among equally short ones.  The search lowers the
-    key of a queued state for about 1% of its pushes, so a decrease
-    finds the state with ``list.index`` instead of every sift step
-    maintaining a position map.
-    """
-
-    __slots__ = ("items", "keys")
-
-    def __init__(self) -> None:
-        self.items: List[int] = []
-        self.keys: List[int] = []
-
-    def push(self, state: int, key: int, queued: bool) -> None:
-        """Insert ``state`` with ``key``; with ``queued``, ``state`` is
-        already in the heap and ``key`` lowers its key."""
-        items, keys = self.items, self.keys
-        if queued:
-            at = items.index(state)
-        else:
-            at = len(items)
-            items.append(state)
-            keys.append(key)
-        while at > 0:
-            up = (at - 1) >> 1
-            above = keys[up]
-            if above <= key:
-                break
-            items[at] = items[up]
-            keys[at] = above
-            at = up
-        items[at] = state
-        keys[at] = key
-
-    def pop(self) -> Tuple[int, int]:
-        """Remove and return ``(state, key)`` with the smallest key."""
-        items, keys = self.items, self.keys
-        top, top_key = items[0], keys[0]
-        last, key = items.pop(), keys.pop()
-        size = len(items)
-        if size:
-            at = 0
-            child = 1
-            while child < size:
-                child_key = keys[child]
-                right = child + 1
-                if right < size:
-                    right_key = keys[right]
-                    if right_key < child_key:
-                        child, child_key = right, right_key
-                if key <= child_key:
-                    break
-                items[at] = items[child]
-                keys[at] = child_key
-                at = child
-                child = 2 * at + 1
-            items[at] = last
-            keys[at] = key
-        return top, top_key
 
 
 def _simplify(points: List[Point]) -> List[Point]:

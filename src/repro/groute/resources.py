@@ -36,6 +36,67 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _SPACE_TOL = 1e-3
 
 
+#: Spacing-search memo: (space price, edge length) -> (f*, s*).  With
+#: the power and yield prices fixed, the minimum of the Eq. 1 decay
+#: terms depends on nothing else; a net's ``base`` is added afterwards.
+SpacingMemo = Dict[Tuple[float, int], Tuple[float, float]]
+
+
+def _spacing_search(
+    price_space: float,
+    price_power: float,
+    price_yield: float,
+    length: float,
+    max_extra_space: float,
+) -> Tuple[float, float]:
+    """(f*, s*): the golden-section minimum of the Eq. 1 decay terms.
+
+    Power + yield decay terms: p(s) = length * (a + b / (1 + s)),
+    y(s) = length * (c + d / (1 + s)^2); minimize
+      f(s) = price_space * s + P * p(s) + Y * y(s)
+    on [0, max_extra_space].  f is written out at each evaluation with
+    the operations of power_usage / yield_loss at pitch 1
+    (s / 1.0 == s exactly).
+    """
+    lo = a = 0.0
+    b = max_extra_space
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    f_lo, fc, fd = [
+        price_space * s
+        + price_power * (length * (0.4 + 0.6 / (1.0 + s)))
+        + price_yield * (length * (0.1 + 0.9 / (1.0 + s) ** 2))
+        for s in (lo, c, d)
+    ]
+    while b - a > _SPACE_TOL:
+        left = fc < fd
+        if left:
+            b, d, fd = d, c, fc
+            s = c = b - _INV_PHI * (b - a)
+        else:
+            a, c, fc = c, d, fd
+            s = d = a + _INV_PHI * (b - a)
+        f = (
+            price_space * s
+            + price_power * (length * (0.4 + 0.6 / (1.0 + s)))
+            + price_yield * (length * (0.1 + 0.9 / (1.0 + s) ** 2))
+        )
+        if left:
+            fc = f
+        else:
+            fd = f
+    s_star = (a + b) / 2.0
+    f_star = (
+        price_space * s_star
+        + price_power * (length * (0.4 + 0.6 / (1.0 + s_star)))
+        + price_yield * (length * (0.1 + 0.9 / (1.0 + s_star) ** 2))
+    )
+    # The search interval's end 0 wins only if strictly cheaper.
+    if f_lo < f_star:
+        return f_lo, lo
+    return f_star, s_star
+
+
 def space_usage(width: float, s: float) -> float:
     """Space consumed on an edge: w(n, e) + s (track units)."""
     return width + s
@@ -61,9 +122,13 @@ def yield_loss(length: float, s: float, pitch: float = 1.0) -> float:
 class ResourceModel:
     """Capacities, global resource bounds and priced edge costs.
 
-    ``objective`` picks which global resource is the optimization target
-    (the paper optimizes wirelength / power / yield; constraints get hard
-    bounds, the objective gets a guessed achievable bound, Sec. 2.1).
+    ``objective`` names the global resource meant as the optimization
+    target (the paper optimizes wirelength / power / yield; constraints
+    get hard bounds, the objective a guessed achievable bound, Sec. 2.1).
+    It is validated and stored, but nothing reads it: every global
+    resource gets a guessed bound whatever the objective, so all three
+    route alike (ROADMAP, "``GlobalRouter(objective=...)`` has no
+    effect").
     """
 
     def __init__(
@@ -154,6 +219,7 @@ class ResourceModel:
         edge: Edge,
         edge_price: float,
         global_prices: Dict[str, float],
+        spacing: Optional[SpacingMemo] = None,
     ) -> Tuple[float, float]:
         """(cost, s*) of using ``edge``: Eq. 1 minimized over s >= 0.
 
@@ -161,6 +227,8 @@ class ResourceModel:
         global resource to y_r / u^r.  The price terms are those of
         :meth:`edge_usage` at s, added in the same order with the same
         floating-point operations, without building the usage dict.
+        ``spacing`` memoizes the spacing searches; it is valid for one
+        ``global_prices`` only (see :data:`SpacingMemo`).
         """
         width = self._net_width.get(net_name, 1.0)
         length = self.graph.edge_length(edge)
@@ -184,50 +252,17 @@ class ResourceModel:
         if not self.optimize_spacing:
             cost = base + price_power * power_usage(length, 0.0)
             return cost + price_yield * yield_loss(length, 0.0), 0.0
-        # Power + yield decay terms: p(s) = length * (a + b / (1 + s)),
-        # y(s) = length * (c + d / (1 + s)^2); minimize
-        #   f(s) = price_space * s + P * p(s) + Y * y(s)
-        # by a golden-section search on [0, max_extra_space].  f is
-        # written out at each evaluation with the operations of
-        # power_usage / yield_loss at pitch 1 (s / 1.0 == s exactly).
-        length = float(length)
-        lo = a = 0.0
-        b = self.max_extra_space
-        c = b - _INV_PHI * (b - a)
-        d = a + _INV_PHI * (b - a)
-        f_lo, fc, fd = [
-            price_space * s
-            + price_power * (length * (0.4 + 0.6 / (1.0 + s)))
-            + price_yield * (length * (0.1 + 0.9 / (1.0 + s) ** 2))
-            for s in (lo, c, d)
-        ]
-        while b - a > _SPACE_TOL:
-            left = fc < fd
-            if left:
-                b, d, fd = d, c, fc
-                s = c = b - _INV_PHI * (b - a)
-            else:
-                a, c, fc = c, d, fd
-                s = d = a + _INV_PHI * (b - a)
-            f = (
-                price_space * s
-                + price_power * (length * (0.4 + 0.6 / (1.0 + s)))
-                + price_yield * (length * (0.1 + 0.9 / (1.0 + s) ** 2))
+        if spacing is None:
+            spacing = {}
+        key = (price_space, length)
+        found = spacing.get(key)
+        if found is None:
+            found = spacing[key] = _spacing_search(
+                price_space, price_power, price_yield, float(length),
+                self.max_extra_space,
             )
-            if left:
-                fc = f
-            else:
-                fd = f
-        s_star = (a + b) / 2.0
-        f_star = (
-            price_space * s_star
-            + price_power * (length * (0.4 + 0.6 / (1.0 + s_star)))
-            + price_yield * (length * (0.1 + 0.9 / (1.0 + s_star) ** 2))
-        )
-        # The search interval's end 0 wins only if strictly cheaper.
-        if f_lo < f_star:
-            return base + f_lo, lo
-        return base + f_star, s_star
+        f, s_star = found
+        return base + f, s_star
 
     def usage_summary(
         self, routes: Dict[str, "object"]

@@ -121,7 +121,13 @@ class GlobalRoutingResult:
 
 
 class GlobalRouter:
-    """Resource-sharing global router (Sec. 2)."""
+    """Resource-sharing global router (Sec. 2).
+
+    ``objective`` is validated and stored on the :class:`ResourceModel`,
+    but nothing reads it yet: every objective routes exactly like
+    ``"wirelength"`` (ROADMAP, "``GlobalRouter(objective=...)`` has no
+    effect").
+    """
 
     def __init__(
         self,

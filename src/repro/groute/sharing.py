@@ -24,9 +24,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.chip.net import Net
 from repro.groute.graph import Edge, GlobalRoutingGraph
-from repro.groute.resources import GLOBAL_RESOURCES, ResourceModel
+from repro.groute.resources import GLOBAL_RESOURCES, ResourceModel, SpacingMemo
 from repro.obs import OBS
 from repro.groute.steiner_oracle import (
+    Adjacency,
     OracleResult,
     path_composition_steiner_tree,
 )
@@ -138,30 +139,34 @@ class ResourceSharingSolver:
         return out
 
     def _edge_cost_fn(self):
-        """The oracle's edge cost under the current prices, and its memo.
+        """The oracle's edge cost under the current prices, and its memos.
 
         Prices stay fixed for the closure's lifetime (one oracle call in
         :meth:`solve`, one block in :func:`solve_parallel_simulated`), so
-        each (net, edge) price is computed once; ``len(memo)`` counts
-        the prices computed.  The key holds the net because a block's
-        closure serves several nets.
+        each (net, edge) price is computed once, and each spacing search
+        once per (space price, length) (:data:`SpacingMemo`).
+        ``len(memo)`` counts the prices computed and ``len(spacing)``
+        the searches run.  The price key holds the net because a
+        block's closure serves several nets.
         """
         global_prices = self._global_prices()
         log_price = self._log_price
         priced_edge_cost = self.model.priced_edge_cost
         exp = math.exp
         memo: Dict[Tuple[str, Edge], Tuple[float, float]] = {}
+        spacing: SpacingMemo = {}
 
         def edge_cost(net_name: str, edge: Edge) -> Tuple[float, float]:
             key = (net_name, edge)
             cost = memo.get(key)
             if cost is None:
                 cost = memo[key] = priced_edge_cost(
-                    net_name, edge, exp(log_price.get(edge, 0.0)), global_prices
+                    net_name, edge, exp(log_price.get(edge, 0.0)),
+                    global_prices, spacing,
                 )
             return cost
 
-        return edge_cost, memo
+        return edge_cost, memo, spacing
 
     # ------------------------------------------------------------------
     # Resource usage g_n^r(b)
@@ -215,6 +220,10 @@ class ResourceSharingSolver:
         #: the congestion of the running average).  Maintained only while
         #: observability is on.
         running_usage: Dict[object, float] = {}
+        #: One adjacency table for the whole solve: capacities do not
+        #: change inside it.
+        adjacency: Adjacency = {}
+        potential_factory = self._potential_factory()
         for _phase in range(self.phases):
             if deadline is not None and deadline.expired:
                 # Degrade gracefully: average over the phases completed
@@ -234,7 +243,7 @@ class ResourceSharingSolver:
                         key = cached_key
                         solution.oracle_reuses += 1
                 if key is None:
-                    edge_cost, prices_computed = self._edge_cost_fn()
+                    edge_cost, prices_computed, searches = self._edge_cost_fn()
                     start = time.time()
                     try:
                         if self.fault_injector is not None:
@@ -247,7 +256,8 @@ class ResourceSharingSolver:
                             terminals[net.name],
                             edge_cost,
                             self.potential_scale,
-                            potential_factory=self._potential_factory(),
+                            potential_factory=potential_factory,
+                            adjacency=adjacency,
                         )
                     except Exception:  # noqa: BLE001 - per-net isolation
                         # A faulting oracle costs the net one phase; the
@@ -259,6 +269,7 @@ class ResourceSharingSolver:
                     solution.oracle_calls += 1
                     if OBS.enabled:
                         OBS.count("sharing.edge_prices", len(prices_computed))
+                        OBS.count("sharing.spacing_searches", len(searches))
                     if result is None:
                         continue
                     key = _solution_key(result)
@@ -411,18 +422,22 @@ def solve_parallel_simulated(
     counts: Dict[str, Dict[SolutionKey, int]] = {net.name: {} for net in nets}
     terminals = {net.name: graph.net_terminals(net) for net in nets}
     ordered = list(nets)
+    adjacency: Adjacency = {}
+    potential_factory = solver._potential_factory()
     for phase in range(phases):
         solution.phases_run += 1
         for block_start in range(0, len(ordered), max(threads, 1)):
             block = ordered[block_start:block_start + max(threads, 1)]
             # One snapshot for the whole block: the concurrent reads.
-            edge_cost, prices_computed = solver._edge_cost_fn()
+            edge_cost, prices_computed, searches = solver._edge_cost_fn()
             block_updates = []
             for net in block:
                 start = time.time()
                 result = path_composition_steiner_tree(
                     graph, net.name, terminals[net.name], edge_cost,
                     solver.potential_scale,
+                    potential_factory=potential_factory,
+                    adjacency=adjacency,
                 )
                 solution.oracle_time += time.time() - start
                 solution.oracle_calls += 1
@@ -433,6 +448,7 @@ def solve_parallel_simulated(
                 block_updates.append((net.name, key))
             if OBS.enabled:
                 OBS.count("sharing.edge_prices", len(prices_computed))
+                OBS.count("sharing.spacing_searches", len(searches))
             # Prices advance only after the block (batched writes).
             for net_name, key in block_updates:
                 edge_usage, global_usage = solver._usages(net_name, key)

@@ -3,9 +3,12 @@
 Algorithm 1 (path composition): repeatedly connect a component of the
 partial tree to the rest by a shortest path; approximation ratio
 2 - 2/|W|, much better in practice (Sec. 5.3, Table II).  The shortest
-path subroutine is Dijkstra with goal orientation (an l1 potential
-towards the remaining terminals - the "variant of goal-orientation with
-landmarks" reduced to its geometric core).
+path subroutine is Dijkstra.  Goal orientation is optional and off by
+default: an l1 potential towards the remaining terminals
+(``potential_scale`` > 0, the "variant of goal-orientation with
+landmarks" reduced to its geometric core) and landmark potentials
+(``potential_factory``) are available, but every production caller
+passes neither, and the search then skips the potential entirely.
 
 Terminals are pin vertex *sets* V_p; the clique K(V_p) of Sec. 2.1 is
 realized by seeding every vertex of a terminal with distance 0.
@@ -16,12 +19,19 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.groute.graph import Edge, GlobalRoutingGraph, Node
-from repro.util.heap import AddressableHeap
+from repro.util.heap import StateHeap
 
 INFINITY = float("inf")
 
 #: Cost function: (net_name, edge) -> (priced cost, optimal extra space).
 EdgeCost = Callable[[str, Edge], Tuple[float, float]]
+
+#: node -> its neighbours in ``graph.neighbors()`` order, keeping only
+#: those across an edge of positive capacity.  Valid while the
+#: capacities do not change.  The edges are rebuilt in canonical form
+#: while relaxing: storing them doubles the table (+1.4 MB on a
+#: 1000-net chip).
+Adjacency = Dict[Node, Tuple[Node, ...]]
 
 
 class OracleResult:
@@ -89,36 +99,56 @@ def shortest_component_path(
     potential_scale: float = 0.0,
     free_edges: Optional[Set[Edge]] = None,
     extra_potential: Optional[Callable[[Node], float]] = None,
+    adjacency: Optional[Adjacency] = None,
 ) -> Optional[Tuple[List[Node], float, int]]:
-    """Goal-oriented Dijkstra from a component to the nearest target set.
+    """Dijkstra (optionally goal-oriented) from a component to the
+    nearest target set.
 
-    ``free_edges`` traverse at zero cost (edges already in the tree).
-    ``extra_potential`` is an additional admissible consistent potential
-    (e.g. landmark bounds, Sec. 2.2); the maximum of two admissible
-    consistent potentials is again admissible and consistent.
+    ``free_edges`` traverse at zero cost (edges already in the tree);
+    each must have positive capacity, as every edge of an earlier path
+    has.  ``extra_potential`` is an
+    additional admissible consistent potential (e.g. landmark bounds,
+    Sec. 2.2); the maximum of two admissible consistent potentials is
+    again admissible and consistent.  ``adjacency`` is the table of
+    usable edges (:data:`Adjacency`), filled here as nodes are settled;
+    it may be shared by calls on the same graph and capacities.
     Returns (node path, cost, labels) or None.
     """
-    l1_pi = _terminal_potential(graph, [targets], potential_scale)
-    if extra_potential is None:
-        pi = l1_pi
+    if adjacency is None:
+        adjacency = {}
+    if free_edges is None:
+        free_edges = set()
+    if potential_scale <= 0 and extra_potential is None:
+        # Every potential is 0.0, and d - 0.0 + cost + 0.0 == d + cost.
+        pi = None
     else:
-        def pi(node: Node) -> float:
-            return max(l1_pi(node), extra_potential(node))
-    heap = AddressableHeap()
+        l1_pi = _terminal_potential(graph, [targets], potential_scale)
+        if extra_potential is None:
+            pi = l1_pi
+        else:
+            def pi(node: Node) -> float:
+                return max(l1_pi(node), extra_potential(node))
+    heap = StateHeap()
+    push, pop = heap.push, heap.pop
     dist: Dict[Node, float] = {}
     parent: Dict[Node, Optional[Node]] = {}
     labels = 0
     for node in sources:
-        d = pi(node)
+        d = 0.0 if pi is None else pi(node)
         if d < dist.get(node, INFINITY):
             dist[node] = d
             parent[node] = None
-            heap.push(node, d)
+            push(node, d, False)
             labels += 1
     settled: Set[Node] = set()
-    while heap:
-        node, d = heap.pop()
+    # Settled nodes pushed again (an inconsistent potential can lower a
+    # settled label): they sit in the heap until popped and skipped.
+    reopened: Set[Node] = set()
+    capacity = graph.capacity
+    while heap.items:
+        node, d = pop()
         if node in settled:
+            reopened.discard(node)
             continue
         settled.add(node)
         if node in targets:
@@ -127,20 +157,36 @@ def shortest_component_path(
                 path.append(parent[path[-1]])
             path.reverse()
             return path, d, labels
-        for neighbour, edge in graph.neighbors(node):
-            if graph.capacity(edge) <= 0 and not (
-                free_edges and edge in free_edges
-            ):
-                continue
-            if free_edges and edge in free_edges:
+        row = adjacency.get(node)
+        if row is None:
+            # Drop exactly the edges the search may not use.
+            row = adjacency[node] = tuple(
+                neighbour
+                for neighbour, edge in graph.neighbors(node)
+                if not capacity(edge) <= 0
+            )
+        if pi is not None:
+            reduced = d - pi(node)
+        for neighbour in row:
+            edge = (node, neighbour) if node < neighbour else (neighbour, node)
+            if edge in free_edges:
                 cost = 0.0
             else:
-                cost, _s = edge_cost(net_name, edge)
-            nd = d - pi(node) + cost + pi(neighbour)
-            if nd < dist.get(neighbour, INFINITY) - 1e-12:
+                cost = edge_cost(net_name, edge)[0]
+            if pi is None:
+                nd = d + cost
+            else:
+                nd = reduced + cost + pi(neighbour)
+            old = dist.get(neighbour, INFINITY)
+            if nd < old - 1e-12:
                 dist[neighbour] = nd
                 parent[neighbour] = node
-                heap.push(neighbour, nd)
+                if neighbour in settled:
+                    queued = neighbour in reopened
+                    reopened.add(neighbour)
+                else:
+                    queued = old != INFINITY
+                push(neighbour, nd, queued)
                 labels += 1
     return None
 
@@ -154,12 +200,18 @@ def path_composition_steiner_tree(
     potential_factory: Optional[
         Callable[[Set[Node]], Callable[[Node], float]]
     ] = None,
+    adjacency: Optional[Adjacency] = None,
 ) -> Optional[OracleResult]:
     """Algorithm 1: grow a tree by shortest component-to-rest paths.
 
     ``potential_factory`` builds an extra admissible potential for each
-    target set (landmark goal orientation, Sec. 2.2).
+    target set (landmark goal orientation, Sec. 2.2).  ``adjacency`` is
+    a table shared with other calls on the same graph and capacities
+    (see :func:`shortest_component_path`); by default each call fills
+    its own.
     """
+    if adjacency is None:
+        adjacency = {}
     live_terminals = [set(t) for t in terminals if t]
     if len(live_terminals) <= 1:
         return OracleResult(set(), {}, 0.0, 0)
@@ -190,6 +242,7 @@ def path_composition_steiner_tree(
             potential_scale,
             free_edges=tree_edges,
             extra_potential=extra,
+            adjacency=adjacency,
         )
         if found is None:
             return None

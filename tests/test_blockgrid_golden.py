@@ -24,8 +24,8 @@ import random
 import pytest
 
 from repro.geometry.rect import Rect
-from repro.grid.blockgrid import BlockageGrid, _StateHeap
-from repro.util.heap import AddressableHeap
+from repro.grid.blockgrid import BlockageGrid
+from repro.util.heap import AddressableHeap, StateHeap
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "blockgrid_golden.json")
 INSTANCES = 200
@@ -140,7 +140,7 @@ def test_state_heap_pops_like_addressable_heap(seed):
     """Same pushes, decrease-keys and pops, with many equal keys: the
     grid's heap must pop exactly what the generic heap pops."""
     rng = random.Random(seed)
-    reference, heap = AddressableHeap(), _StateHeap()
+    reference, heap = AddressableHeap(), StateHeap()
     keys = {}
     for _ in range(400):
         if heap.items and rng.random() < 0.35:

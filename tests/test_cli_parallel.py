@@ -95,6 +95,32 @@ class TestParallelSharing:
             weights = parallel.weights[net.name]
             assert abs(sum(weights.values()) - 1.0) < 1e-9
 
+    def test_landmarks_reach_the_oracle(self, setup, monkeypatch):
+        """``use_landmarks=True`` hands the landmark potentials to every
+        oracle call of the simulation, as in the serial solver."""
+        graph, model, routable = setup
+        factory_of = ResourceSharingSolver._potential_factory
+        target_sets = []
+
+        def spying(solver):
+            factory = factory_of(solver)
+            assert factory is not None
+
+            def spy(targets):
+                target_sets.append(frozenset(targets))
+                return factory(targets)
+
+            return spy
+
+        monkeypatch.setattr(ResourceSharingSolver, "_potential_factory", spying)
+        parallel = solve_parallel_simulated(
+            graph, model, routable, threads=2, phases=2,
+            use_landmarks=True, landmark_count=3,
+        )
+        assert parallel.oracle_calls > 0
+        # At least one target set per oracle call of a multi-pin net.
+        assert len(target_sets) >= parallel.oracle_calls
+
     def test_single_thread_equals_serial_structure(self, setup):
         graph, model, routable = setup
         one = solve_parallel_simulated(

@@ -10,6 +10,7 @@ from repro.chip.generator import ChipSpec, generate_chip
 from repro.grid.tracks import build_track_plan
 from repro.groute.capacity import estimate_capacities
 from repro.groute.graph import Edge, GlobalRoutingGraph
+from repro.groute import resources
 from repro.groute.resources import (
     ResourceModel,
     power_usage,
@@ -18,7 +19,7 @@ from repro.groute.resources import (
 )
 from repro.groute.rounding import RoundingPostprocessor
 from repro.groute.router import GlobalRouter
-from repro.groute.sharing import ResourceSharingSolver
+from repro.groute.sharing import ResourceSharingSolver, solve_parallel_simulated
 from repro.groute.steiner_oracle import path_composition_steiner_tree
 from repro.obs import OBS
 from repro.steiner.rsmt import steiner_length
@@ -347,9 +348,9 @@ class TestResourceSharing:
         priced = model.priced_edge_cost
         computed = []
 
-        def counting(net_name, edge, edge_price, global_prices):
+        def counting(net_name, edge, edge_price, global_prices, spacing=None):
             computed.append((net_name, edge))
-            return priced(net_name, edge, edge_price, global_prices)
+            return priced(net_name, edge, edge_price, global_prices, spacing)
 
         model.priced_edge_cost = counting
         routable = [n for n in chip.nets if not graph.is_local_net(n)]
@@ -365,6 +366,39 @@ class TestResourceSharing:
             OBS.reset()
         assert fractional.oracle_calls > 0
         assert counted == len(computed) > 0
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_spacing_searches_counter_counts_memo_misses(
+        self, setup, monkeypatch, parallel
+    ):
+        """Each Eq. 1 spacing search runs once per (space price, length)
+        and oracle call (one block in the parallel simulation), and
+        ``sharing.spacing_searches`` counts exactly the searches run."""
+        chip, graph, _model = setup
+        model = ResourceModel(graph, chip.nets)
+        search = resources._spacing_search
+        searches = []
+
+        def counting(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(resources, "_spacing_search", counting)
+        routable = [n for n in chip.nets if not graph.is_local_net(n)]
+        OBS.reset()
+        OBS.configure(enabled=True)
+        try:
+            if parallel:
+                solve_parallel_simulated(graph, model, routable, phases=3)
+            else:
+                ResourceSharingSolver(graph, model, phases=3).solve(routable)
+            counted = OBS.counters.get("sharing.spacing_searches")
+            prices = OBS.counters.get("sharing.edge_prices")
+        finally:
+            OBS.configure(enabled=False)
+            OBS.reset()
+        assert counted == len(searches) > 0
+        assert counted < prices
 
     def test_reuse_speeds_up_without_hurting(self, setup):
         chip, graph, model = setup
