@@ -27,7 +27,11 @@ from repro.droute.space import RoutingSpace
 from repro.obs import OBS
 from repro.geometry.l1 import rect_l2_gap, run_length
 from repro.geometry.rect import Rect
-from repro.grid.blockgrid import BlockageGrid
+from repro.grid.blockgrid import (
+    BlockageGrid,
+    blockage_grid_coordinates,
+    usable_obstacles,
+)
 from repro.grid.shapegrid import RipupLevel
 from repro.grid.trackgraph import Vertex
 from repro.tech.wiring import ShapeKind, StickFigure
@@ -237,9 +241,11 @@ class PinAccessPlanner:
     ) -> List[AccessPath]:
         """DRC-clean tau-feasible access paths for one pin.
 
-        One blockage-grid Dijkstra runs per distinct endpoint position
+        One blockage-grid query runs per distinct endpoint position
         ``(x, y)``: endpoints at one position on the pin layer and the
         layer above share its result and differ only in the via check.
+        Positions whose grids come out identical share one grid, and
+        the grid resumes one Dijkstra from the pin for all of them.
         Builds are memoized on (pin, radius, neighbourhood geometry):
         the grid searches dominate the planner's cost, and re-routed
         nets usually ask for the same pin over unchanged geometry.  A
@@ -267,7 +273,10 @@ class PinAccessPlanner:
             return [self._copy_path(p) for p in cached]
         if OBS.enabled:
             OBS.count("pinaccess.catalogues_built")
-        obstacles = self._obstacles_near(pin, pin_layer, window.expanded(tau))
+        grid_box = window.expanded(tau)
+        obstacles = usable_obstacles(
+            self._obstacles_near(pin, pin_layer, grid_box), grid_box
+        )
         endpoints = self._endpoint_candidates(pin, window)
         if not endpoints:
             return []
@@ -277,16 +286,27 @@ class PinAccessPlanner:
         paths: List[AccessPath] = []
         wire_type = chip.wire_type(self.wire_type_name)
         # A search's inputs (obstacles, tau, window, source, (x, y)) do
-        # not depend on the endpoint's layer.
+        # not depend on the endpoint's layer.  Endpoints whose Alg. 3
+        # coordinates come out equal get the same grid, so they share
+        # its resumable search from ``source``.
+        grids: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], BlockageGrid] = {}
         searched: Dict[Tuple[int, int], Optional[Tuple]] = {}
         for endpoint in endpoints:
             ex, ey, ez = graph.position(endpoint)
             if (ex, ey) not in searched:
                 if OBS.enabled:
                     OBS.count("pinaccess.grid_searches")
-                grid = BlockageGrid(
-                    obstacles, tau, window.expanded(tau), [source, (ex, ey)]
+                xs, ys = blockage_grid_coordinates(
+                    obstacles, [source, (ex, ey)], tau, grid_box
                 )
+                grid_key = (tuple(xs), tuple(ys))
+                grid = grids.get(grid_key)
+                if grid is None:
+                    if OBS.enabled:
+                        OBS.count("pinaccess.grid_builds")
+                    grid = grids[grid_key] = BlockageGrid(
+                        obstacles, tau, grid_box, coordinates=(xs, ys)
+                    )
                 searched[(ex, ey)] = grid.shortest_path([source], [(ex, ey)])
             result = searched[(ex, ey)]
             if result is None:

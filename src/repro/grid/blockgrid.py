@@ -21,7 +21,7 @@ short segment can ever follow a bend.
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry.hanan import refine_with_pitch
 from repro.geometry.rect import Rect
@@ -34,6 +34,12 @@ EAST, WEST, NORTH, SOUTH = 0, 1, 2, 3
 
 #: Distance of a search state no arc has reached yet.
 _UNREACHED = 1 << 62
+
+
+def usable_obstacles(obstacles: Sequence[Rect], bbox: Rect) -> List[Rect]:
+    """The obstacles a grid over ``bbox`` rasterizes: those with an
+    interior that meet the window."""
+    return [r for r in obstacles if r.area > 0 and r.intersects(bbox)]
 
 
 def blockage_grid_coordinates(
@@ -78,19 +84,28 @@ class BlockageGrid:
         tau: int,
         bbox: Rect,
         terminals: Sequence[Point] = (),
+        coordinates: Optional[Tuple[List[int], List[int]]] = None,
     ) -> None:
+        """``coordinates``, when given, is the grid's ``(xs, ys)`` as
+        :func:`blockage_grid_coordinates` returned it for
+        ``usable_obstacles(obstacles, bbox)`` and the terminals; it
+        replaces ``terminals``."""
         if tau <= 0:
             raise ValueError("tau must be positive")
         self.tau = tau
         self.bbox = bbox
-        self.obstacles = [r for r in obstacles if r.area > 0 and r.intersects(bbox)]
-        self.xs, self.ys = blockage_grid_coordinates(
-            self.obstacles, terminals, tau, bbox
-        )
+        self.obstacles = usable_obstacles(obstacles, bbox)
+        if coordinates is None:
+            coordinates = blockage_grid_coordinates(
+                self.obstacles, terminals, tau, bbox
+            )
+        self.xs, self.ys = coordinates
         self._x_index = {x: i for i, x in enumerate(self.xs)}
         self._y_index = {y: j for j, y in enumerate(self.ys)}
         self._build_blocked_edges()
         self._build_long_arcs()
+        #: One resumable search per source-vertex sequence.
+        self._searches: Dict[Tuple[int, ...], _Search] = {}
 
     # ------------------------------------------------------------------
     # Geometry preprocessing
@@ -174,9 +189,17 @@ class BlockageGrid:
         Among equally short paths the one whose final state the heap
         pops first wins, so the heap's exact sequence of comparisons is
         part of the result (see :class:`repro.util.heap.StateHeap`).
+
+        The grid keeps one search per source sequence and resumes it on
+        the next query from the same sources: with non-negative lengths
+        the pop sequence does not depend on the targets, which only
+        decide when to stop, and a popped state's ``dist`` and
+        ``parent`` never change.  So the answer is the earliest-popped
+        target vertex, whether that pop happened in this query or in an
+        earlier one.  Targets that all lie strictly inside obstacles
+        return None at once: no arc enters such a vertex.
         """
-        xs, ys = self.xs, self.ys
-        nx, ny = len(xs), len(ys)
+        ny = len(self.ys)
         x_index, y_index = self._x_index, self._y_index
         target_vertices = set()
         for x, y in targets:
@@ -187,20 +210,7 @@ class BlockageGrid:
             target_vertices.add(i * ny + j)
         if not target_vertices:
             return None
-
-        h_blocked = self._h_blocked
-        v_blocked = self._v_blocked
-        vertex_blocked = self._vertex_blocked
-        east, west, north, south = self._east, self._west, self._north, self._south
-
-        size = 4 * nx * ny
-        dist = [_UNREACHED] * size
-        #: parent[state]: the predecessor state, or ``-1 - v`` when the
-        #: state is a long arc straight out of source vertex v.
-        parent = [0] * size
-        heap = StateHeap()
-        push, pop = heap.push, heap.pop
-
+        source_vertices = []
         for x, y in sources:
             i = x_index.get(x)
             j = y_index.get(y)
@@ -209,7 +219,37 @@ class BlockageGrid:
             v = i * ny + j
             if v in target_vertices:
                 return (0, [(x, y)])
-            # First segment: a long arc in each direction (E, W, N, S).
+            source_vertices.append(v)
+        if all(self._vertex_blocked[v] for v in target_vertices):
+            return None
+        key = tuple(source_vertices)
+        search = self._searches.get(key)
+        if search is None:
+            search = self._searches[key] = self._start_search(source_vertices)
+        first_pops = search.first_pops
+        hits = [first_pops[v] for v in target_vertices if v in first_pops]
+        if hits:
+            final_state = min(hits)[1]
+        else:
+            final_state = self._resume(search, target_vertices)
+            if final_state < 0:
+                return None
+        return self._path_to(search, final_state)
+
+    def _start_search(self, source_vertices: Sequence[int]) -> _Search:
+        """A search with the first segments out of every source queued:
+        a long arc in each direction (E, W, N, S)."""
+        xs, ys = self.xs, self.ys
+        nx, ny = len(xs), len(ys)
+        h_blocked = self._h_blocked
+        v_blocked = self._v_blocked
+        vertex_blocked = self._vertex_blocked
+        east, west, north, south = self._east, self._west, self._north, self._south
+        search = _Search(4 * nx * ny)
+        dist, parent = search.dist, search.parent
+        push = search.heap.push
+        for v in source_vertices:
+            i, j = divmod(v, ny)
             row = j * nx
             arcs = []
             k = east[i]
@@ -230,57 +270,87 @@ class BlockageGrid:
                     dist[nstate] = length
                     parent[nstate] = -1 - v
                     push(nstate, length, old != _UNREACHED)
+        return search
 
-        final_state = -1
-        while heap.items:
+    def _resume(self, search: _Search, target_vertices) -> int:
+        """Continue ``search`` until it first pops a state at a target
+        vertex; return that state, or -1 once the frontier is exhausted.
+
+        Each iteration relaxes the state popped before it, so the state
+        that stops the search stays pending and is relaxed when the next
+        query resumes.
+        """
+        xs, ys = self.xs, self.ys
+        nx, ny = len(xs), len(ys)
+        h_blocked = self._h_blocked
+        v_blocked = self._v_blocked
+        vertex_blocked = self._vertex_blocked
+        east, west, north, south = self._east, self._west, self._north, self._south
+        dist, parent, first_pops = search.dist, search.parent, search.first_pops
+        heap = search.heap
+        push, pop = heap.push, heap.pop
+        state = search.pending
+        d = dist[state] if state >= 0 else 0
+        while True:
+            if state >= 0:
+                v = state >> 2
+                i, j = divmod(v, ny)
+                row = j * nx
+                # Straight continuation (one edge on in the same
+                # direction), then the bends: long arcs perpendicular to
+                # the incoming direction, N then S after a horizontal
+                # state, E then W after a vertical one.
+                arcs = []
+                if state & 2 == 0:
+                    if state & 1 == 0:
+                        if i + 1 < nx and not h_blocked[row + i]:
+                            arcs.append((state + 4 * ny, xs[i + 1] - xs[i]))
+                    elif i > 0 and not h_blocked[row + i - 1]:
+                        arcs.append((state - 4 * ny, xs[i] - xs[i - 1]))
+                    k = north[j]
+                    if k < ny and 1 not in v_blocked[v:v + k - j]:
+                        arcs.append(((v + k - j) * 4 + NORTH, ys[k] - ys[j]))
+                    k = south[j]
+                    if k >= 0 and 1 not in v_blocked[v - j + k:v]:
+                        arcs.append(((v - j + k) * 4 + SOUTH, ys[j] - ys[k]))
+                else:
+                    if state & 1 == 0:
+                        if j + 1 < ny and not v_blocked[v]:
+                            arcs.append((state + 4, ys[j + 1] - ys[j]))
+                    elif j > 0 and not v_blocked[v - 1]:
+                        arcs.append((state - 4, ys[j] - ys[j - 1]))
+                    k = east[i]
+                    if k < nx and 1 not in h_blocked[row + i:row + k]:
+                        arcs.append(((k * ny + j) * 4 + EAST, xs[k] - xs[i]))
+                    k = west[i]
+                    if k >= 0 and 1 not in h_blocked[row + k:row + i]:
+                        arcs.append(((k * ny + j) * 4 + WEST, xs[i] - xs[k]))
+                for nstate, length in arcs:
+                    if vertex_blocked[nstate >> 2]:
+                        continue
+                    nd = d + length
+                    old = dist[nstate]
+                    if nd < old:
+                        dist[nstate] = nd
+                        parent[nstate] = state
+                        push(nstate, nd, old != _UNREACHED)
+            if not heap.items:
+                search.pending = -1
+                return -1
             state, d = pop()
             v = state >> 2
-            if v in target_vertices:
-                final_state = state
-                break
-            i, j = divmod(v, ny)
-            row = j * nx
-            # Straight continuation (one edge on in the same direction),
-            # then the bends: long arcs perpendicular to the incoming
-            # direction, N then S after a horizontal state, E then W
-            # after a vertical one.
-            arcs = []
-            if state & 2 == 0:
-                if state & 1 == 0:
-                    if i + 1 < nx and not h_blocked[row + i]:
-                        arcs.append((state + 4 * ny, xs[i + 1] - xs[i]))
-                elif i > 0 and not h_blocked[row + i - 1]:
-                    arcs.append((state - 4 * ny, xs[i] - xs[i - 1]))
-                k = north[j]
-                if k < ny and 1 not in v_blocked[v:v + k - j]:
-                    arcs.append(((v + k - j) * 4 + NORTH, ys[k] - ys[j]))
-                k = south[j]
-                if k >= 0 and 1 not in v_blocked[v - j + k:v]:
-                    arcs.append(((v - j + k) * 4 + SOUTH, ys[j] - ys[k]))
-            else:
-                if state & 1 == 0:
-                    if j + 1 < ny and not v_blocked[v]:
-                        arcs.append((state + 4, ys[j + 1] - ys[j]))
-                elif j > 0 and not v_blocked[v - 1]:
-                    arcs.append((state - 4, ys[j] - ys[j - 1]))
-                k = east[i]
-                if k < nx and 1 not in h_blocked[row + i:row + k]:
-                    arcs.append(((k * ny + j) * 4 + EAST, xs[k] - xs[i]))
-                k = west[i]
-                if k >= 0 and 1 not in h_blocked[row + k:row + i]:
-                    arcs.append(((k * ny + j) * 4 + WEST, xs[i] - xs[k]))
-            for nstate, length in arcs:
-                if vertex_blocked[nstate >> 2]:
-                    continue
-                nd = d + length
-                old = dist[nstate]
-                if nd < old:
-                    dist[nstate] = nd
-                    parent[nstate] = state
-                    push(nstate, nd, old != _UNREACHED)
-        if final_state < 0:
-            return None
-        # Reconstruct the polyline back to the source vertex.
+            if v not in first_pops:
+                first_pops[v] = (len(first_pops), state)
+                if v in target_vertices:
+                    search.pending = state
+                    return state
+
+    def _path_to(self, search: _Search, final_state: int) -> Tuple[int, List[Point]]:
+        """(length, simplified polyline) of a popped state, back to its
+        source vertex."""
+        xs, ys = self.xs, self.ys
+        ny = len(ys)
+        parent = search.parent
         points: List[Point] = []
         state = final_state
         while True:
@@ -292,7 +362,24 @@ class BlockageGrid:
                 points.append((xs[i], ys[j]))
                 break
         points.reverse()
-        return (dist[final_state], _simplify(points))
+        return (search.dist[final_state], _simplify(points))
+
+
+class _Search:
+    """The resumable state of one search from a fixed source sequence."""
+
+    __slots__ = ("dist", "parent", "heap", "first_pops", "pending")
+
+    def __init__(self, size: int) -> None:
+        self.dist = [_UNREACHED] * size
+        #: parent[state]: the predecessor state, or ``-1 - v`` when the
+        #: state is a long arc straight out of source vertex v.
+        self.parent = [0] * size
+        self.heap = StateHeap()
+        #: vertex -> (pop rank, state) of the first state popped there.
+        self.first_pops: Dict[int, Tuple[int, int]] = {}
+        #: The state popped last but not yet relaxed, or -1.
+        self.pending = -1
 
 
 def _simplify(points: List[Point]) -> List[Point]:

@@ -133,8 +133,10 @@ class AddressableHeap:
 class StateHeap:
     """Binary min-heap of items held in a list parallel to their keys.
 
-    The frontier of :meth:`repro.grid.blockgrid.BlockageGrid.shortest_path`
-    and of the global-routing oracle's Dijkstra
+    The frontier of the blockage-grid search behind
+    :meth:`repro.grid.blockgrid.BlockageGrid.shortest_path` (kept
+    between queries, so one search resumes across several targets) and
+    of the global-routing oracle's Dijkstra
     (:func:`repro.groute.steiner_oracle.shortest_component_path`).
     Sift-up and sift-down make the same ``<=`` / ``<`` key comparisons
     in the same order as :class:`AddressableHeap`, so equal keys pop in

@@ -161,6 +161,79 @@ def test_state_heap_pops_like_addressable_heap(seed):
     assert not reference
 
 
+def _inside(obstacle, width, height):
+    """A point strictly inside ``obstacle`` and inside the bbox, or None."""
+    x_lo, y_lo, x_hi, y_hi = obstacle
+    x, y = (x_lo + x_hi) // 2, (y_lo + y_hi) // 2
+    if x_lo < x < x_hi and y_lo < y < y_hi and 0 <= x <= width and 0 <= y <= height:
+        return (x, y)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(0, INSTANCES, 7))
+def test_resumed_search_equals_fresh_search(seed):
+    """One grid answers a random query sequence (repeats, 2-target sets,
+    source == target, all-blocked targets, queries after the frontier
+    is exhausted, two source sets) exactly as a fresh grid built from
+    the same arguments answers each query alone."""
+    instance = make_instance(seed)
+    rng = random.Random(1000 + seed)
+    _x0, _y0, width, height = instance["bbox"]
+    obstacles = [Rect(*r) for r in instance["obstacles"]]
+    sources = [tuple(p) for p in instance["sources"]]
+    points = sources + [tuple(p) for p in instance["targets"]]
+    points += [(_coord(rng, width), _coord(rng, height)) for _ in range(4)]
+    if instance["obstacles"]:
+        blocked = _inside(instance["obstacles"][-1], width, height)
+        if blocked is not None:
+            points.append(blocked)
+    if seed % 10 == 2:
+        # Walled-in source: reachable points inside the wall, queried
+        # after an outside target has exhausted the frontier.
+        sx, sy = sources[0]
+        points += [(sx + 30, sy), (sx, sy - 40)]
+    args = (obstacles, instance["tau"], Rect(*instance["bbox"]), points)
+    grid = BlockageGrid(*args)
+    source_sets = [sources, [rng.choice(points)]]
+    queries = []
+    for _ in range(12):
+        targets = rng.sample(points, 2 if rng.random() < 0.25 else 1)
+        queries.append((rng.choice(source_sets), targets))
+    queries.append((sources, [sources[0]]))
+    queries += [queries[rng.randrange(len(queries))] for _ in range(3)]
+    if seed % 10 == 2:
+        queries += [(sources, [(0, 0)]), (sources, points[-2:-1]), (sources, points[-1:])]
+    for query_sources, targets in queries:
+        fresh = BlockageGrid(*args).shortest_path(query_sources, targets)
+        assert grid.shortest_path(query_sources, targets) == fresh, (
+            query_sources, targets,
+        )
+
+
+def test_all_blocked_targets_pop_nothing(monkeypatch):
+    """Targets strictly inside obstacles are answered None before the
+    search pops a single state."""
+    pops = []
+    original = StateHeap.pop
+
+    def counting_pop(self):
+        pops.append(1)
+        return original(self)
+
+    monkeypatch.setattr(StateHeap, "pop", counting_pop)
+    grid = BlockageGrid(
+        [Rect(200, 200, 400, 400), Rect(600, 100, 700, 300)],
+        40,
+        Rect(0, 0, 1000, 1000),
+        [(0, 0), (300, 300), (650, 200), (900, 900)],
+    )
+    assert grid.shortest_path([(0, 0)], [(300, 300)]) is None
+    assert grid.shortest_path([(0, 0)], [(300, 300), (650, 200)]) is None
+    assert not pops
+    assert grid.shortest_path([(0, 0)], [(900, 900), (300, 300)]) is not None
+    assert pops
+
+
 if __name__ == "__main__":
     cases = []
     for seed in range(INSTANCES):

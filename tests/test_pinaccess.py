@@ -8,6 +8,7 @@ from repro.chip.cells import CellTemplate, CircuitInstance
 from repro.chip.design import Chip
 from repro.chip.generator import ChipSpec, generate_chip
 from repro.chip.net import Net, Pin
+from repro.droute import pinaccess
 from repro.droute.pinaccess import AccessPath, PinAccessPlanner
 from repro.droute.router import DetailedRouter
 from repro.droute.space import RoutingSpace
@@ -94,6 +95,32 @@ class TestGridSearchReuse:
             OBS.reset()
             OBS.enabled = False
         assert searches == len(set(positions))
+
+    def test_grid_builds_counts_constructions(self, space, monkeypatch):
+        """``pinaccess.grid_builds`` equals the BlockageGrid
+        constructions, and positions with equal Alg. 3 coordinates
+        share a grid."""
+        built = []
+
+        class CountingGrid(pinaccess.BlockageGrid):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pinaccess, "BlockageGrid", CountingGrid)
+        pin = space.chip.nets[0].pins[0]
+        planner = PinAccessPlanner(space, max_endpoints=10_000, max_paths=10_000)
+        OBS.reset()
+        OBS.configure(enabled=True)
+        try:
+            planner.build_catalogue(pin)
+            builds = OBS.counters.get("pinaccess.grid_builds", 0)
+            searches = OBS.counters.get("pinaccess.grid_searches", 0)
+        finally:
+            OBS.reset()
+            OBS.enabled = False
+        assert builds == len(built)
+        assert 0 < builds < searches
 
 
 #: sha256 of every catalogue DetailedRouter preprocessing builds on the
