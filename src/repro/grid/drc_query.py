@@ -15,13 +15,17 @@ Spacing model:
   rectangles (Sec. 3.1);
 * run-length against clipped shape-grid pieces is computed after merging
   abutting pieces of the same net within the query window, so long wires
-  stored cell-by-cell keep their full run-length;
+  stored cell-by-cell keep their full run-length; the merge runs only for
+  a group of pieces whose outcome the pieces alone leave open
+  (:meth:`DistanceRuleChecker._evaluate`);
 * inter-layer via rules are checked inside a single via layer against the
   stored cut projections (Sec. 3.2).
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry.l1 import rect_l2_gap, run_length
@@ -94,8 +98,6 @@ class PrefetchedBand:
         self._max_span = max(spans) if spans else 0
 
     def query(self, window: Rect) -> List[ShapeEntry]:
-        import bisect
-
         if self._axis_x:
             lo_bound = window.x_lo - self._max_span
             hi_bound = window.x_hi
@@ -109,73 +111,82 @@ class PrefetchedBand:
         ]
 
 
-def _filter_prefetched(prefetched, window: Rect) -> List[ShapeEntry]:
-    if isinstance(prefetched, PrefetchedBand):
-        return prefetched.query(window)
-    return [e for e in prefetched if e.rect.intersects(window)]
-
-
-def _merge_same_net_pieces(entries: Sequence[ShapeEntry]) -> List[ShapeEntry]:
-    """Merge abutting clipped pieces of the same net/class into longer rects.
+def _merge_rects(rects: List[Rect]) -> List[Rect]:
+    """Merge abutting clipped pieces of one (net, class, kind, ripup) group.
 
     Restores run-lengths of long shapes that the shape grid stores
-    cell-by-cell.  Merging is done greedily per (net, class, kind) group:
-    pieces that share a full edge are coalesced until a fixed point.
+    cell-by-cell: pieces that share a full edge are coalesced greedily
+    until a fixed point.  Every returned rectangle is the union of the
+    pieces merged into it.
     """
-    groups: Dict[Tuple, List[ShapeEntry]] = {}
-    for entry in entries:
-        key = (entry.net, entry.class_name, entry.shape_kind, entry.ripup_level)
-        groups.setdefault(key, []).append(entry)
-    merged: List[ShapeEntry] = []
-    for key, group in groups.items():
-        rects = [e.rect for e in group]
-        changed = True
-        while changed and len(rects) > 1:
-            changed = False
-            out: List[Rect] = []
-            used = [False] * len(rects)
-            for i in range(len(rects)):
-                if used[i]:
+    changed = True
+    while changed and len(rects) > 1:
+        changed = False
+        out: List[Rect] = []
+        used = [False] * len(rects)
+        for i in range(len(rects)):
+            if used[i]:
+                continue
+            current = rects[i]
+            for j in range(i + 1, len(rects)):
+                if used[j]:
                     continue
-                current = rects[i]
-                for j in range(i + 1, len(rects)):
-                    if used[j]:
-                        continue
-                    other = rects[j]
-                    if (
-                        current.y_lo == other.y_lo
-                        and current.y_hi == other.y_hi
-                        and current.x_lo <= other.x_hi
-                        and other.x_lo <= current.x_hi
-                    ):
-                        current = current.hull(other)
-                        used[j] = True
-                        changed = True
-                    elif (
-                        current.x_lo == other.x_lo
-                        and current.x_hi == other.x_hi
-                        and current.y_lo <= other.y_hi
-                        and other.y_lo <= current.y_hi
-                    ):
-                        current = current.hull(other)
-                        used[j] = True
-                        changed = True
-                used[i] = True
-                out.append(current)
-            rects = out
-        sample = group[0]
-        for rect in rects:
-            merged.append(
-                ShapeEntry(
-                    rect,
-                    sample.net,
-                    sample.class_name,
-                    sample.shape_kind,
-                    sample.ripup_level,
-                    sample.rule_width,
-                )
-            )
-    return merged
+                other = rects[j]
+                if (
+                    current.y_lo == other.y_lo
+                    and current.y_hi == other.y_hi
+                    and current.x_lo <= other.x_hi
+                    and other.x_lo <= current.x_hi
+                ):
+                    current = current.hull(other)
+                    used[j] = True
+                    changed = True
+                elif (
+                    current.x_lo == other.x_lo
+                    and current.x_hi == other.x_hi
+                    and current.y_lo <= other.y_hi
+                    and other.y_lo <= current.y_hi
+                ):
+                    current = current.hull(other)
+                    used[j] = True
+                    changed = True
+            used[i] = True
+            out.append(current)
+        rects = out
+    return rects
+
+
+def _group_violates(
+    group: List[ShapeEntry], candidate: Rect, rule_width: int, spacing_fn
+) -> bool:
+    """Does any merged piece of ``group`` violate against ``candidate``?
+
+    A merged rectangle is the union of its pieces, so its gap is at most
+    each piece's gap and its run length at least each piece's, and spacing
+    is non-decreasing in run length.  Hence one piece violating on its own
+    decides "yes", and every piece at least the unbounded-run-length
+    spacing away decides "no"; only a group left open by both, with more
+    than one piece, is merged.  All pieces are measured with the group's
+    first rule width, as the merged rectangles are.
+    """
+    width = group[0].rule_width
+    clear = spacing_fn(rule_width, width, math.inf)
+    ambiguous = False
+    for entry in group:
+        rect = entry.rect
+        gap = rect_l2_gap(candidate, rect)
+        if gap >= clear:
+            continue
+        if gap < spacing_fn(rule_width, width, run_length(candidate, rect)):
+            return True
+        ambiguous = True
+    if not ambiguous or len(group) == 1:
+        return False
+    for rect in _merge_rects([e.rect for e in group]):
+        required = spacing_fn(rule_width, width, run_length(candidate, rect))
+        if rect_l2_gap(candidate, rect) < required:
+            return True
+    return False
 
 
 class DistanceRuleChecker:
@@ -198,9 +209,35 @@ class DistanceRuleChecker:
         Used by the fast grid to compute legality words for a full track
         segment with a single grid traversal; the per-candidate check then
         filters this list by its own window, which yields exactly the same
-        result as an individual query.
+        result as an individual query.  ``band`` must contain every such
+        window.  The query is widened by one grid cell, so a piece stored
+        in a neighbouring cell that only touches a window is returned too,
+        and every window filters the same pieces, in the same order, out
+        of any band containing it.
         """
-        return self.grid.query(kind, layer, band)
+        return self.grid.query(
+            kind, layer, band.expanded(self.grid.cell_size(kind, layer))
+        )
+
+    def metal_window(self, layer: int, candidate: Rect) -> Rect:
+        """Query window of a wiring-layer candidate.
+
+        Every stored shape that can violate against ``candidate`` meets
+        this window; a candidate whose window meets no shape is legal.
+        """
+        return candidate.expanded(self.rules.spacing_rule(layer).max_spacing() + 1)
+
+    def metal_reach(self, layer: int, rule_width: int, widest: int) -> int:
+        """Gap from which no stored piece can make a candidate illegal.
+
+        For a wiring-layer candidate of ``rule_width`` among pieces whose
+        rule widths are at most ``widest``: spacing is non-decreasing in
+        width and run length, so this bounds every group's
+        unbounded-run-length spacing in :func:`_group_violates`, and
+        pieces all at least this far away leave :meth:`check_metal`
+        legal.
+        """
+        return self.rules.spacing_rule(layer).spacing(rule_width, widest, math.inf)
 
     def check_metal(
         self,
@@ -208,18 +245,18 @@ class DistanceRuleChecker:
         candidate: Rect,
         rule_width: int,
         net: Optional[str],
-        prefetched: Optional[Sequence[ShapeEntry]] = None,
+        prefetched: Optional[PrefetchedBand] = None,
     ) -> PlacementCheck:
         """Check one candidate wiring-layer rectangle against stored shapes."""
         self.query_count += 1
-        rule = self.rules.spacing_rule(layer)
-        radius = rule.max_spacing()
-        window = candidate.expanded(radius + 1)
+        window = self.metal_window(layer, candidate)
         if prefetched is None:
             entries = self.grid.query("wiring", layer, window)
         else:
-            entries = _filter_prefetched(prefetched, window)
-        return self._evaluate(entries, candidate, rule_width, net, rule.spacing)
+            entries = prefetched.query(window)
+        return self._evaluate(
+            entries, candidate, rule_width, net, self.rules.spacing_rule(layer).spacing
+        )
 
     def check_via_cut(
         self,
@@ -227,7 +264,6 @@ class DistanceRuleChecker:
         candidate: Rect,
         rule_width: int,
         net: Optional[str],
-        prefetched: Optional[Sequence[ShapeEntry]] = None,
     ) -> PlacementCheck:
         """Check a via cut, including the inter-layer via rule (Sec. 3.2)."""
         self.query_count += 1
@@ -235,11 +271,7 @@ class DistanceRuleChecker:
         if via_rule is None:
             return _LEGAL
         radius = max(via_rule.cut_spacing, via_rule.adjacent_layer_spacing)
-        window = candidate.expanded(radius + 1)
-        if prefetched is None:
-            entries = self.grid.query("via", via_layer, window)
-        else:
-            entries = _filter_prefetched(prefetched, window)
+        entries = self.grid.query("via", via_layer, candidate.expanded(radius + 1))
 
         def spacing(width_a: int, width_b: int, rl: int) -> int:
             return via_rule.cut_spacing
@@ -274,21 +306,33 @@ class DistanceRuleChecker:
         net: Optional[str],
         spacing_fn,
     ) -> PlacementCheck:
-        diff_net = [e for e in entries if net is None or e.net != net]
-        if not diff_net:
-            return _LEGAL
-        merged = _merge_same_net_pieces(diff_net)
+        """Diff-net outcome of ``candidate`` against ``entries``.
+
+        Pieces are grouped by (net, class, kind, ripup level), the key
+        same-net merging uses; the outcome depends only on which groups
+        violate (:func:`_group_violates`).
+        """
+        groups: Dict[Tuple, List[ShapeEntry]] = {}
+        for entry in entries:
+            if net is not None and entry.net == net:
+                continue
+            key = (entry.net, entry.class_name, entry.shape_kind, entry.ripup_level)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [entry]
+            else:
+                group.append(entry)
         blockers: Set[str] = set()
         max_ripup = 0
         legal = True
-        for entry in merged:
-            required = spacing_fn(rule_width, entry.rule_width, run_length(candidate, entry.rect))
-            if rect_l2_gap(candidate, entry.rect) < required:
-                legal = False
-                if entry.ripup_level == RIPUP_FIXED or entry.net is None:
-                    return PlacementCheck(False, set(), RIPUP_FIXED)
-                blockers.add(entry.net)
-                max_ripup = max(max_ripup, entry.ripup_level)
+        for (group_net, _, _, ripup_level), group in groups.items():
+            if not _group_violates(group, candidate, rule_width, spacing_fn):
+                continue
+            legal = False
+            if ripup_level == RIPUP_FIXED or group_net is None:
+                return PlacementCheck(False, set(), RIPUP_FIXED)
+            blockers.add(group_net)
+            max_ripup = max(max_ripup, ripup_level)
         if legal:
             return _LEGAL
         return PlacementCheck(False, blockers, max_ripup)
@@ -310,13 +354,8 @@ class DistanceRuleChecker:
         x: int,
         y: int,
         net: Optional[str],
-        prefetched: Optional[Dict[Tuple[str, int], Sequence[ShapeEntry]]] = None,
     ) -> PlacementCheck:
-        """Check a via of ``wire_type`` anchored at (x, y) on ``via_layer``.
-
-        ``prefetched`` optionally maps (kind, layer) to entry lists
-        covering the via's query windows (batched fast-grid filling).
-        """
+        """Check a via of ``wire_type`` anchored at (x, y) on ``via_layer``."""
         model = wire_type.via_model(via_layer)
         result = _LEGAL
         for kind, layer, rect, shape_class, shape_kind in model.shapes(x, y, via_layer):
@@ -324,15 +363,10 @@ class DistanceRuleChecker:
                 # The projection is only an obstacle for *other* vias; it
                 # is checked implicitly when those are placed.
                 continue
-            entries = None if prefetched is None else prefetched.get((kind, layer))
             if kind == "wiring":
-                check = self.check_metal(
-                    layer, rect, shape_class.rule_width, net, prefetched=entries
-                )
+                check = self.check_metal(layer, rect, shape_class.rule_width, net)
             else:
-                check = self.check_via_cut(
-                    layer, rect, shape_class.rule_width, net, prefetched=entries
-                )
+                check = self.check_via_cut(layer, rect, shape_class.rule_width, net)
             result = _combine(result, check)
             if not result.legal and result.max_ripup_needed == RIPUP_FIXED:
                 return result

@@ -6,8 +6,10 @@ on-track locations, so the on-track path search rarely needs the (much
 slower) distance rule checking module.  Words are kept per track in
 *packed* per-track arrays and filled field by field: a band sweep
 (:meth:`FastGrid.ensure_words`) fills the wire and jog fields of a track
-segment, the two ``check_metal`` calls on the vertex's own layer; every
-other field is computed individually on its first read.  A via edge's
+segment, the two ``check_metal`` calls on the vertex's own layer, and
+runs a check only where a shape of the prefetched band comes nearer than
+any spacing it could require (:func:`covered_crosses`); every other
+field is computed individually on its first read.  A via edge's
 two fields (via up below, via down above) are one check, so one fill
 serves both.  Every shape
 insertion or removal invalidates the affected region by clearing
@@ -34,7 +36,9 @@ counts one hit, or one miss when it fills that field lazily (the
 partner field a via fill also sets then reads as a hit).
 ``fastgrid.queries`` counts *edge* queries, so hits may legitimately
 exceed queries.  ``fastgrid.checks`` counts the ``check_metal`` /
-``check_via`` calls the grid runs (the work behind the misses).
+``check_via`` calls the grid runs (the work behind the misses).  A band
+field the sweep sets without a check (no shape near enough) is part of a
+miss but not a check; the sweep counts it in ``fastgrid.sweep_skips``.
 ``fastgrid.interval_cache_hits`` and ``fastgrid.segment_cache_hits``
 count reuse in the two cross-search memo layers on top of the words
 themselves.
@@ -43,11 +47,14 @@ themselves.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from math import hypot, isqrt
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry.rect import Rect
 from repro.grid.drc_query import DistanceRuleChecker, PlacementCheck, PrefetchedBand
-from repro.grid.shapegrid import RIPUP_FIXED
+from repro.grid.shapegrid import RIPUP_FIXED, ShapeEntry
 from repro.obs import OBS
 from repro.grid.trackgraph import TrackGraph, Vertex
 from repro.tech.layers import Direction
@@ -100,6 +107,75 @@ def unpack_word(bits: int) -> Word:
         enc = (bits >> (4 + 3 * i)) & 7
         out.append((legal, RIPUP_FIXED if enc == _RIPUP_FIXED_ENC else enc))
     return tuple(out)
+
+
+def covered_crosses(
+    entries: Sequence[ShapeEntry],
+    crosses: Sequence[int],
+    cs: Sequence[int],
+    candidate: Rect,
+    reach: int,
+    horizontal: bool,
+) -> List[bool]:
+    """Which vertices of one track have an entry nearer than ``reach``.
+
+    ``crosses`` are the layer's sorted cross coordinates, ``cs`` an
+    ascending list of cross indices on one track, and ``candidate`` the
+    candidate rectangle of the vertex at ``cs[0]``; the candidate of
+    ``c`` is the same rectangle moved by ``crosses[c] - crosses[cs[0]]``
+    along the track (x when ``horizontal``).  Vertex ``c`` is covered iff
+    some entry's ``rect_l2_gap`` to its candidate is below ``reach``.
+    Each entry is bisected into the index range of crosses it covers and
+    recorded in a difference array.
+    """
+    first, last = cs[0], cs[-1]
+    origin = crosses[first]
+    if horizontal:
+        lo_off, hi_off = candidate.x_lo - origin, candidate.x_hi - origin
+        across_lo, across_hi = candidate.y_lo, candidate.y_hi
+    else:
+        lo_off, hi_off = candidate.y_lo - origin, candidate.y_hi - origin
+        across_lo, across_hi = candidate.x_lo, candidate.x_hi
+    diff = [0] * (last - first + 2)
+    for entry in entries:
+        rect = entry.rect
+        if horizontal:
+            lo, hi, rect_across_lo, rect_across_hi = (
+                rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi
+            )
+        else:
+            lo, hi, rect_across_lo, rect_across_hi = (
+                rect.y_lo, rect.y_hi, rect.x_lo, rect.x_hi
+            )
+        if rect_across_lo > across_hi:
+            across = rect_across_lo - across_hi
+        elif across_lo > rect_across_hi:
+            across = across_lo - rect_across_hi
+        else:
+            across = 0
+        if across > reach:
+            continue
+        # The largest along-track gap whose l2 gap is below the reach:
+        # isqrt gives the largest with squared distance <= reach², and a
+        # gap on that circle is kept only if rect_l2_gap's float puts it
+        # below.  Every other squared distance differs from reach² by at
+        # least 1, far more than the float's error, so it falls on the
+        # same side in floats as in integers.
+        along = isqrt(reach * reach - across * across)
+        gap = hypot(along, across) if horizontal else hypot(across, along)
+        if gap >= reach:
+            along -= 1
+            if along < 0:
+                continue
+        # c's along-track gap is at most `along` iff
+        # crosses[c] + hi_off >= lo - along and crosses[c] + lo_off <= hi + along.
+        a = bisect_left(crosses, lo - along - hi_off, first, last + 1)
+        b = bisect_right(crosses, hi + along - lo_off, first, last + 1)
+        if a < b:
+            diff[a - first] += 1
+            diff[b - first] -= 1
+    depth = list(accumulate(diff))
+    return [depth[c - first] > 0 for c in cs]
 
 
 class _TrackWords:
@@ -185,13 +261,31 @@ class FastGrid:
     # ------------------------------------------------------------------
     # Word computation
     # ------------------------------------------------------------------
+    def _band_candidate(
+        self, wire_type: WireType, z: int, x: int, y: int, i: int
+    ) -> Tuple[Rect, int]:
+        """Metal shape and rule width of band field ``i`` (wire or jog) of
+        a vertex at (x, y) on layer ``z``; the shape is one rectangle
+        translated with the vertex."""
+        point = StickFigure(z, x, y, x, y)
+        if i == 0:
+            shape, cls, _ = wire_type.wire_shape(point, self.graph.stack)
+            return shape, cls.rule_width
+        model = wire_type.nonpreferred_model(z)
+        shape = model.metal_shape(point, self.graph.stack.direction(z))
+        return shape, model.shape_class.rule_width
+
     def _compute_shape(
-        self, wire_type: WireType, vertex: Vertex, i: int, prefetched=None
+        self,
+        wire_type: WireType,
+        vertex: Vertex,
+        i: int,
+        band: Optional[PrefetchedBand] = None,
     ) -> Tuple[bool, int]:
         """Field ``i`` (``SHAPE_TYPES[i]``) of the word at ``vertex``.
 
-        ``prefetched`` optionally maps ``("wiring", z)`` to the band a
-        sweep prefetched; the wire and jog checks filter it by their own
+        ``band`` optionally holds the ``("wiring", z)`` entries a sweep
+        prefetched; the wire and jog checks filter it by their own
         windows, with the same result as an individual query.
         """
         x, y, z = self.graph.position(vertex)
@@ -199,20 +293,9 @@ class FastGrid:
         check: Optional[PlacementCheck] = None
         if i < 2:  # wire, jog: metal shapes on the vertex's layer
             if wire_type.has_layer(z):
-                point = StickFigure(z, x, y, x, y)
-                if i == 0:
-                    shape, cls, _ = wire_type.wire_shape(point, stack)
-                    rule_width = cls.rule_width
-                else:
-                    model = wire_type.nonpreferred_model(z)
-                    shape = model.metal_shape(point, stack.direction(z))
-                    rule_width = model.shape_class.rule_width
+                shape, rule_width = self._band_candidate(wire_type, z, x, y, i)
                 check = self.checker.check_metal(
-                    z, shape, rule_width, None,
-                    prefetched=(
-                        None if prefetched is None
-                        else prefetched.get(("wiring", z))
-                    ),
+                    z, shape, rule_width, None, prefetched=band
                 )
         elif i == 2:  # via down
             if stack.has_layer(z - 1) and wire_type.has_via_layer(z - 1):
@@ -247,11 +330,10 @@ class FastGrid:
 
         Both are ``check_metal`` calls on layer ``z``, so one shape-grid
         traversal of the ``("wiring", z)`` band replaces the per-vertex
-        traversals; each vertex's checks then filter the prefetched
-        entries by their own query windows, giving results identical to
-        individual checks.  Via fields are left to fill on first read.
-        Returns the number of vertices whose band fields were computed
-        (invalid before the call).
+        traversals, and :meth:`_sweep_fields` decides each field from it
+        with results identical to individual checks.  Via fields are left
+        to fill on first read.  Returns the number of vertices whose band
+        fields were computed (invalid before the call).
         """
         if not self.enabled or c_lo > c_hi:
             return 0
@@ -264,31 +346,15 @@ class FastGrid:
         if not missing:
             return 0
         wire_type = self.wire_types[wire_type_name]
-        graph = self.graph
-        x0, y0, _ = graph.position((z, t, missing[0]))
-        x1, y1, _ = graph.position((z, t, missing[-1]))
-        band = Rect(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
-        margin = (
-            self.checker.rules.max_interaction_distance(z)
-            + 4 * graph.stack[z].pitch
-        )
-        prefetched = {
-            ("wiring", z): PrefetchedBand(
-                self.checker.prefetch_entries("wiring", z, band.expanded(margin)),
-                axis_x=band.width >= band.height,
-            )
-        }
-        compute = self._compute_shape
-        band_bits = []
-        for c in missing:
-            vertex = (z, t, c)
-            wire = compute(wire_type, vertex, 0, prefetched)
-            jog = compute(wire_type, vertex, 1, prefetched)
-            band_bits.append(_pack_field(0, *wire) | _pack_field(1, *jog))
+        if wire_type.has_layer(z):
+            fields = self._sweep_fields(wire_type, z, t, missing)
+        else:
+            fields = [_pack_field(0, False, RIPUP_FIXED)
+                      | _pack_field(1, False, RIPUP_FIXED)] * len(missing)
         # Keep any via field an earlier single read already filled.
         words = tw.words
         keep = 0xFFFF ^ _BAND_BITS
-        for c, bits in zip(missing, band_bits):
+        for c, bits in zip(missing, fields):
             words[c] = (words[c] & keep) | bits
             valid[c] |= _BAND_VALID
         self.misses += len(missing)
@@ -296,6 +362,64 @@ class FastGrid:
             OBS.count("fastgrid.misses", len(missing))
             OBS.count("fastgrid.words_prefetched", len(missing))
         return len(missing)
+
+    def _sweep_fields(
+        self, wire_type: WireType, z: int, t: int, missing: List[int]
+    ) -> List[int]:
+        """Packed band fields (wire and jog) of each cross in ``missing``.
+
+        Along one track a field's candidate, and so its check window, is
+        one rectangle translated with the vertex.  One shape-grid query
+        covers the windows of both fields at the first and the last
+        vertex, and so every window between them.  A piece can make a
+        candidate illegal only if its gap is below the checker's
+        :meth:`~DistanceRuleChecker.metal_reach` for the widest
+        prefetched piece.  A vertex with no prefetched piece that near
+        (:func:`covered_crosses`) is legal with no ripup, which is what
+        ``check_metal`` answers, and is set so without a check; every
+        other vertex runs ``check_metal`` on the prefetched band.
+        """
+        graph = self.graph
+        crosses = graph.crosses[z]
+        horizontal = graph.stack.direction(z) is Direction.HORIZONTAL
+        x, y, _ = graph.position((z, t, missing[0]))
+        candidates = [self._band_candidate(wire_type, z, x, y, i) for i in (0, 1)]
+        checker = self.checker
+        band = checker.metal_window(z, candidates[0][0]).hull(
+            checker.metal_window(z, candidates[1][0])
+        )
+        shift = crosses[missing[-1]] - crosses[missing[0]]
+        band = band.hull(
+            band.translated(shift, 0) if horizontal else band.translated(0, shift)
+        )
+        prefetched = PrefetchedBand(
+            checker.prefetch_entries("wiring", z, band), axis_x=horizontal
+        )
+        widest = max((e.rule_width for e in prefetched.entries), default=0)
+        fields = [0] * len(missing)
+        compute = self._compute_shape
+        skipped = 0
+        for i, (shape, rule_width) in enumerate(candidates):
+            covered = covered_crosses(
+                prefetched.entries,
+                crosses,
+                missing,
+                shape,
+                checker.metal_reach(z, rule_width, widest),
+                horizontal,
+            )
+            empty = _pack_field(i, True, 0)
+            for k, c in enumerate(missing):
+                if covered[k]:
+                    fields[k] |= _pack_field(
+                        i, *compute(wire_type, (z, t, c), i, prefetched)
+                    )
+                else:
+                    fields[k] |= empty
+                    skipped += 1
+        if OBS.enabled:
+            OBS.count("fastgrid.sweep_skips", skipped)
+        return fields
 
     def _packed(
         self,

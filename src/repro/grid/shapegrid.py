@@ -458,6 +458,10 @@ class ShapeGrid:
         meta = (net, class_name, shape_kind.value, ripup_level, rule_width)
         self._grid(kind, layer).remove(rect, meta)
 
+    def cell_size(self, kind: str, layer: int) -> int:
+        """Edge length of the cells of the (kind, layer) grid."""
+        return self._grid(kind, layer).cell_size
+
     def query(self, kind: str, layer: int, rect: Rect) -> List[ShapeEntry]:
         if OBS.enabled:
             OBS.count("shapegrid.queries")

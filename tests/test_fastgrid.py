@@ -8,6 +8,7 @@ import pytest
 
 from repro.chip.generator import ChipSpec, generate_chip
 from repro.droute.space import RoutingSpace
+from repro.geometry.l1 import rect_l2_gap
 from repro.geometry.rect import Rect
 from repro.grid.shapegrid import RipupLevel
 from repro.tech.wiring import StickFigure
@@ -94,12 +95,51 @@ class TestLazyFields:
         return space, _CountingChecker(space.checker)
 
     def test_band_sweep_runs_no_via_check(self, fresh):
+        """The sweep runs ``check_metal`` exactly for the (vertex, field)
+        pairs with a stored piece nearer than the checker's reach, runs no
+        via check, and fills fields equal to fresh checks."""
         space, counter = fresh
-        computed = space.fast_grid.ensure_words("default", 3, 2, 0, 20)
+        fast, graph, checker = space.fast_grid, space.graph, space.checker
+        wire_type = fast.wire_types["default"]
+        z, t = 3, 2
+        # A foreign wire on part of the segment: some candidates come
+        # near it, the rest of the segment stays clear.
+        x0, y0, _ = graph.position((z, t, 8))
+        x1, y1, _ = graph.position((z, t, 10))
+        space.add_wire("sweepnet", "default", StickFigure(z, x0, y0, x1, y1))
+        counter.calls["check_metal"] = 0
+        computed = fast.ensure_words("default", z, t, 0, 20)
         assert computed == 21
         assert counter.calls["check_via"] == 0
-        # Wire and jog: one check_metal each per computed vertex.
-        assert counter.calls["check_metal"] == 2 * computed
+        radius = checker.rules.spacing_rule(z).max_spacing() + 1
+        candidates = []
+        for c in range(21):
+            x, y, _ = graph.position((z, t, c))
+            point = StickFigure(z, x, y, x, y)
+            wire, cls, _ = wire_type.wire_shape(point, graph.stack)
+            jog_model = wire_type.nonpreferred_model(z)
+            jog = jog_model.metal_shape(point, graph.stack.direction(z))
+            candidates.append((wire, cls.rule_width))
+            candidates.append((jog, jog_model.shape_class.rule_width))
+        nearby = [
+            space.shape_grid.query("wiring", z, shape.expanded(radius))
+            for shape, _ in candidates
+        ]
+        widest = max(e.rule_width for pieces in nearby for e in pieces)
+        near = sum(
+            any(
+                rect_l2_gap(shape, e.rect)
+                < checker.metal_reach(z, rule_width, widest)
+                for e in pieces
+            )
+            for (shape, rule_width), pieces in zip(candidates, nearby)
+        )
+        window_met = sum(1 for pieces in nearby if pieces)
+        assert 0 < near < window_met < 2 * computed
+        assert counter.calls["check_metal"] == near
+        for c in range(21):
+            fresh = fast._compute_word(wire_type, (z, t, c))
+            assert fast.cached_word("default", z, t, c)[:2] == fresh[:2]
 
     def test_one_via_read_fills_only_that_field(self, fresh):
         space, counter = fresh

@@ -7,7 +7,10 @@
 * fast-grid invalidation: inserting then removing a net's wiring leaves
   every cached legality word identical to a freshly built grid;
 * fast-grid lazy fields: every field read, by any path, equals a fresh
-  check of the same shape type.
+  check of the same shape type;
+* per-group dominance in the distance-rule checker equals merging every
+  group's pieces, and the band sweep's covered vertices equal per-vertex
+  gap tests.
 """
 
 import random
@@ -22,11 +25,14 @@ from repro.droute.area import RoutingArea
 from repro.droute.intervals import GraphView
 from repro.droute.space import RoutingSpace
 from repro.geometry.rect import Rect
+from repro.geometry.l1 import rect_l2_gap, run_length
 from repro.grid.blockgrid import BlockageGrid
-from repro.grid.fastgrid import SHAPE_TYPES, pack_word, unpack_word
-from repro.grid.shapegrid import RIPUP_FIXED, ShapeGrid
+from repro.grid.drc_query import DistanceRuleChecker, PrefetchedBand
+from repro.grid.fastgrid import SHAPE_TYPES, covered_crosses, pack_word, unpack_word
+from repro.grid.shapegrid import RIPUP_FIXED, ShapeEntry, ShapeGrid
 from repro.droute.route import ViaInstance
-from repro.tech.stacks import example_stack
+from repro.tech.rules import SpacingRule
+from repro.tech.stacks import example_rules, example_stack
 from repro.tech.wiring import ShapeKind, StickFigure
 
 
@@ -577,3 +583,390 @@ class TestScannedIntervalsMatchPerVertex:
                     for iv in [view.interval(idx)]
                 ]
                 assert made == expected
+
+
+def _reference_merge(entries):
+    """Merge-everything piece merging, as the checker did before group
+    dominance: per (net, class, kind, ripup) group, coalesce pieces that
+    share a full edge until a fixed point."""
+    groups = {}
+    for entry in entries:
+        key = (entry.net, entry.class_name, entry.shape_kind, entry.ripup_level)
+        groups.setdefault(key, []).append(entry)
+    merged = []
+    for group in groups.values():
+        rects = [e.rect for e in group]
+        changed = True
+        while changed and len(rects) > 1:
+            changed = False
+            out = []
+            used = [False] * len(rects)
+            for i in range(len(rects)):
+                if used[i]:
+                    continue
+                current = rects[i]
+                for j in range(i + 1, len(rects)):
+                    if used[j]:
+                        continue
+                    other = rects[j]
+                    if (
+                        current.y_lo == other.y_lo
+                        and current.y_hi == other.y_hi
+                        and current.x_lo <= other.x_hi
+                        and other.x_lo <= current.x_hi
+                    ) or (
+                        current.x_lo == other.x_lo
+                        and current.x_hi == other.x_hi
+                        and current.y_lo <= other.y_hi
+                        and other.y_lo <= current.y_hi
+                    ):
+                        current = current.hull(other)
+                        used[j] = True
+                        changed = True
+                used[i] = True
+                out.append(current)
+            rects = out
+        sample = group[0]
+        for rect in rects:
+            merged.append(ShapeEntry(
+                rect, sample.net, sample.class_name, sample.shape_kind,
+                sample.ripup_level, sample.rule_width,
+            ))
+    return merged
+
+
+def _reference_evaluate(entries, candidate, rule_width, net, spacing_fn):
+    """The merge-everything evaluation: (legal, blockers, max ripup)."""
+    diff_net = [e for e in entries if net is None or e.net != net]
+    blockers = set()
+    max_ripup = 0
+    legal = True
+    for entry in _reference_merge(diff_net):
+        required = spacing_fn(
+            rule_width, entry.rule_width, run_length(candidate, entry.rect)
+        )
+        if rect_l2_gap(candidate, entry.rect) < required:
+            legal = False
+            if entry.ripup_level == RIPUP_FIXED or entry.net is None:
+                return (False, set(), RIPUP_FIXED)
+            blockers.add(entry.net)
+            max_ripup = max(max_ripup, entry.ripup_level)
+    return (legal, blockers if not legal else set(), max_ripup if not legal else 0)
+
+
+def _unmerged_evaluate(entries, candidate, rule_width, net, spacing_fn):
+    """Like the reference, but measuring every piece on its own."""
+    singles = [
+        ShapeEntry(e.rect, e.net, e.class_name, e.shape_kind, e.ripup_level,
+                   e.rule_width)
+        for e in entries
+    ]
+    # Distinct class names keep every piece in a group of its own.
+    for i, e in enumerate(singles):
+        e.class_name = (e.class_name, i)
+    return _reference_evaluate(singles, candidate, rule_width, net, spacing_fn)
+
+
+_SOUP_CELL = 100
+
+
+def _shape_soup(rng, grid, kind, layer, shape_kinds):
+    """Random shapes stored in ``grid``, so queries return cell-clipped
+    pieces: long wires in either direction, L-shapes (two overlapping
+    arms of one net), small blobs; mixed nets (``None`` included), ripup
+    levels (``RIPUP_FIXED`` included) and rule widths."""
+    for _ in range(rng.randrange(4, 14)):
+        net = rng.choice(("a", "b", "c", "own", None))
+        meta = (
+            net,
+            rng.choice(("thin", "wide")),
+            rng.choice(shape_kinds),
+            rng.choice((1, 2, 3, 3, RIPUP_FIXED)),
+            rng.choice((20, 40, 80)),
+        )
+        x, y = rng.randrange(0, 800), rng.randrange(0, 800)
+        width = rng.choice((20, 40, 60))
+        length = rng.randrange(40, 700)
+        style = rng.random()
+        if style < 0.4:
+            rects = [Rect(x, y, x + length, y + width)]
+        elif style < 0.6:
+            rects = [Rect(x, y, x + width, y + length)]
+        elif style < 0.85:
+            rects = [
+                Rect(x, y, x + length, y + width),
+                Rect(x, y, x + width, y + rng.randrange(40, 400)),
+            ]
+        else:
+            rects = [Rect(x, y, x + rng.randrange(10, 90),
+                          y + rng.randrange(10, 90))]
+        for rect in rects:
+            grid.add_shape(kind, layer, rect, *meta)
+
+
+def _candidate_near(rng, entries):
+    """A candidate rectangle beside a random stored piece, at a gap around
+    the spacings the random rules require."""
+    if not entries or rng.random() < 0.2:
+        x, y = rng.randrange(0, 800), rng.randrange(0, 800)
+        return Rect(x, y, x + rng.randrange(10, 300), y + rng.randrange(10, 60))
+    rect = rng.choice(entries).rect
+    gap = rng.randrange(0, 140)
+    length = rng.randrange(20, 600)
+    thick = rng.randrange(10, 60)
+    shift = rng.randrange(-300, 300)
+    if rng.random() < 0.5:  # above a horizontal run
+        x = rect.x_lo + shift
+        return Rect(x, rect.y_hi + gap, x + length, rect.y_hi + gap + thick)
+    y = rect.y_lo + shift
+    return Rect(rect.x_hi + gap, y, rect.x_hi + gap + thick, y + length)
+
+
+def _random_spacing_rule(rng):
+    """A spacing table whose run-length rows sit between one cell-clipped
+    piece's run and a merged wire's, so merging often decides."""
+    base = rng.randrange(20, 60)
+    return SpacingRule(
+        base_spacing=base,
+        table=[
+            (rng.choice((0, 40, 80)), 0, base + rng.randrange(0, 20)),
+            (rng.choice((0, 20, 40)), rng.randrange(_SOUP_CELL + 1, 400),
+             base + rng.randrange(20, 80)),
+        ],
+    )
+
+
+class TestEvaluateMatchesMergeEverything:
+    """Group dominance in ``_evaluate`` equals merging every group.
+
+    The checker merges a (net, class, kind, ripup) group's pieces only
+    when no piece violates alone and some piece is nearer than the
+    unbounded-run-length spacing.  On random shape soups stored in a
+    shape grid (cell-clipped abutting pieces, L-shapes, mixed ripup,
+    ``RIPUP_FIXED``, ``net=None``, own-net pieces), with random
+    run-length spacing tables, its outcome must equal the old
+    merge-everything evaluation for every piece order.
+    """
+
+    @staticmethod
+    def _checker():
+        stack = example_stack(4)
+        grid = ShapeGrid(
+            Rect(0, 0, 2000, 2000), stack,
+            cell_sizes={z: _SOUP_CELL for z in stack.indices},
+        )
+        return DistanceRuleChecker(grid, stack, example_rules(4))
+
+    def _compare_metal(self, seed):
+        """Compare on one soup; return how many outcomes merging decided."""
+        rng = random.Random(seed)
+        checker = self._checker()
+        _shape_soup(rng, checker.grid, "wiring", 2,
+                    (ShapeKind.WIRE, ShapeKind.JOG))
+        spacing = _random_spacing_rule(rng).spacing
+        everything = checker.grid.query("wiring", 2, Rect(0, 0, 2000, 2000))
+        decided = 0
+        for _ in range(40):
+            candidate = _candidate_near(rng, everything)
+            entries = checker.grid.query("wiring", 2, candidate.expanded(200))
+            rule_width = rng.choice((20, 40, 80))
+            net = rng.choice((None, "own", "a"))
+            for order in range(2):
+                if order:
+                    entries = list(entries)
+                    rng.shuffle(entries)
+                # A group's rule width is its first piece's, so the
+                # reference is taken per order.
+                expected = _reference_evaluate(
+                    entries, candidate, rule_width, net, spacing
+                )
+                if expected != _unmerged_evaluate(
+                    entries, candidate, rule_width, net, spacing
+                ):
+                    decided += 1
+                got = checker._evaluate(
+                    entries, candidate, rule_width, net, spacing
+                )
+                assert (got.legal, got.blockers, got.max_ripup_needed) == (
+                    expected
+                ), f"seed={seed} candidate={candidate} net={net}"
+        return decided
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_metal_soups(self, seed):
+        self._compare_metal(seed)
+
+    def test_merging_decides_some_outcomes(self):
+        """The soups do reach groups only a merge can decide, so the
+        comparison above covers the merge branch."""
+        assert sum(self._compare_metal(seed) for seed in range(20)) > 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_via_cut_soups(self, seed):
+        """``check_via_cut`` (cuts and adjacent-layer cut projections,
+        each with its own spacing) equals the reference on both parts."""
+        rng = random.Random(seed)
+        checker = self._checker()
+        via_layer = 1
+        _shape_soup(rng, checker.grid, "via", via_layer,
+                    (ShapeKind.VIA_CUT, ShapeKind.VIA_CUT_PROJECTION))
+        via_rule = checker.rules.via_rule(via_layer)
+        everything = checker.grid.query("via", via_layer, Rect(0, 0, 2000, 2000))
+        for _ in range(40):
+            candidate = _candidate_near(rng, everything)
+            rule_width = rng.choice((20, 40))
+            net = rng.choice((None, "own", "a"))
+            radius = max(via_rule.cut_spacing, via_rule.adjacent_layer_spacing)
+            entries = checker.grid.query(
+                "via", via_layer, candidate.expanded(radius + 1)
+            )
+            projection = ShapeKind.VIA_CUT_PROJECTION.value
+            parts = [
+                _reference_evaluate(
+                    [e for e in entries if (e.shape_kind == projection) == proj],
+                    candidate, rule_width, net,
+                    lambda a, b, rl, s=spacing: s,
+                )
+                for proj, spacing in (
+                    (False, via_rule.cut_spacing),
+                    (True, via_rule.adjacent_layer_spacing),
+                )
+            ]
+            legal = parts[0][0] and parts[1][0]
+            if legal:
+                expected = (True, set(), 0)
+            elif RIPUP_FIXED in (parts[0][2], parts[1][2]):
+                expected = (False, set(), RIPUP_FIXED)
+            else:
+                expected = (
+                    False, parts[0][1] | parts[1][1],
+                    max(parts[0][2], parts[1][2]),
+                )
+            got = checker.check_via_cut(via_layer, candidate, rule_width, net)
+            assert (got.legal, got.blockers, got.max_ripup_needed) == expected
+
+
+class TestSweepCoveredMatchesGaps:
+    """The band sweep's covered set equals per-vertex gap tests.
+
+    ``covered_crosses`` bisects each band entry into the crosses whose
+    translated candidate it comes nearer to than the reach; for every
+    vertex of the swept segment that must equal whether some entry of
+    ``PrefetchedBand.query`` of the vertex's own check window has a
+    ``rect_l2_gap`` below the reach — on horizontal and vertical tracks,
+    for wire-like and jog-like candidates, at the band's edges, with gaps
+    exactly at the reach, with gaps in the swept crosses and for
+    single-cross segments.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_covered_equals_gap_tests(self, seed):
+        rng = random.Random(seed)
+        horizontal = rng.random() < 0.5
+        crosses = sorted(rng.sample(range(0, 1000, 5), rng.randrange(1, 40)))
+        track = rng.randrange(0, 400, 10)
+        reach = rng.choice((0, 5, 13, 25, 40, 50))
+        radius = 51
+        entries = []
+        for _ in range(rng.randrange(0, 12)):
+            lo = rng.randrange(-50, 1050)
+            side = track + rng.randrange(-60, 60)
+            along_hi = lo + rng.randrange(0, 120)
+            side_hi = side + rng.randrange(0, 30)
+            rect = (Rect(lo, side, along_hi, side_hi) if horizontal
+                    else Rect(side, lo, side_hi, along_hi))
+            entries.append(ShapeEntry(rect, "n", "c", "wire", 1, 20))
+        first = rng.randrange(len(crosses))
+        if rng.random() < 0.3:
+            cs = [first]  # c_lo == c_hi
+        else:
+            last = rng.randrange(first, len(crosses))
+            cs = [c for c in range(first, last + 1)
+                  if c in (first, last) or rng.random() < 0.7]
+        band = PrefetchedBand(entries, axis_x=rng.random() < 0.5)
+        # Wire (long along the track) and jog (long across it) candidates.
+        for along, across in ((rng.randrange(0, 60), rng.randrange(0, 15)),
+                              (rng.randrange(0, 15), rng.randrange(0, 60))):
+            def candidate_at(c):
+                p = crosses[c]
+                if horizontal:
+                    return Rect(p - along, track - across, p + along + 3,
+                                track + across)
+                return Rect(track - across, p - along, track + across,
+                            p + along + 3)
+
+            got = covered_crosses(band.entries, crosses, cs, candidate_at(cs[0]),
+                                  reach, horizontal)
+            expected = [
+                any(
+                    rect_l2_gap(candidate_at(c), e.rect) < reach
+                    for e in band.query(candidate_at(c).expanded(radius))
+                )
+                for c in cs
+            ]
+            assert got == expected, f"seed={seed} cs={cs}"
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_swept_fields_match_fresh_checks(self, seed):
+        """Every band field a sweep sets, checked or skipped, equals a
+        fresh check: all layers, both wire types, single crosses and
+        segments ending at the track's ends."""
+        chip = generate_chip(
+            ChipSpec("sweepprop", rows=2, row_width_cells=4, net_count=4, seed=4)
+        )
+        rng = random.Random(seed)
+        space = RoutingSpace(chip)
+        _apply_soup(space, _soup_ops(chip, rng, count=16))
+        fast, graph = space.fast_grid, space.graph
+        # Wide wires shifted off track by any amount: pieces wider than
+        # a default candidate, at every gap around the wide spacing.
+        for i in range(8):
+            z = rng.choice((3, 4))
+            t = rng.randrange(len(graph.tracks[z]))
+            c0 = rng.randrange(len(graph.crosses[z]) - 3)
+            x0, y0, _ = graph.position((z, t, c0))
+            x1, y1, _ = graph.position((z, t, c0 + rng.randrange(1, 3)))
+            shift = rng.randrange(chip.stack[z].pitch)
+            if x0 == x1:
+                x0, x1 = x0 + shift, x1 + shift
+            else:
+                y0, y1 = y0 + shift, y1 + shift
+            space.add_wire(
+                f"widesoup{i}", "wide", StickFigure(z, x0, y0, x1, y1),
+                ripup_level=rng.choice((1, 2, 3)), off_track=shift > 0,
+            )
+        for _ in range(12):
+            type_name = rng.choice(("default", "wide"))
+            z = rng.choice(chip.stack.indices)
+            t = rng.randrange(len(graph.tracks[z]))
+            top = len(graph.crosses[z]) - 1
+            c_lo = rng.choice((0, rng.randrange(top + 1)))
+            c_hi = rng.choice((c_lo, top, min(top, c_lo + rng.randrange(12))))
+            fast.ensure_words(type_name, z, t, c_lo, c_hi)
+            wire_type = fast.wire_types[type_name]
+            for c in range(c_lo, c_hi + 1):
+                fresh = fast._compute_word(wire_type, (z, t, c))
+                assert fast.cached_word(type_name, z, t, c)[:2] == fresh[:2], (
+                    f"seed={seed} {type_name} vertex={(z, t, c)}"
+                )
+
+    def test_gaps_on_the_reach_circle(self):
+        """Pieces exactly ``reach`` away (straight across, or on a
+        Pythagorean diagonal) are not covered; one unit nearer they are."""
+        crosses = list(range(0, 200, 10))
+        candidate = Rect(-5, 0, 5, 10)  # the vertex at cross 0, y 0..10
+        for rect, covered in (
+            (Rect(0, 35, 0, 40), False),  # 25 straight across
+            (Rect(0, 34, 0, 40), True),
+            (Rect(25, 25, 30, 30), False),  # (20, 15): a 3-4-5 diagonal
+            (Rect(24, 25, 30, 30), True),
+        ):
+            got = covered_crosses(
+                [ShapeEntry(rect, "n", "c", "wire", 1, 20)],
+                crosses, [0], candidate, 25, True,
+            )
+            assert got == [covered], rect
