@@ -1,11 +1,9 @@
 """Cell library and placed circuit instances.
 
-The off-track pin access preprocessing (Sec. 4.3) exploits that millions of
-placed circuits come from only a few thousand library prototypes, and that
-geometrically equal situations (up to translation, mirroring and rotation)
-can be collected into *circuit classes*.  This module provides the library
-templates, placed instances with orientations, and the geometric-equality
-key those classes are built from.
+Millions of placed circuits come from only a few thousand library
+prototypes (Sec. 4.3).  This module provides the library templates and
+placed instances with orientations; templates are interned, so instances
+share their prototype objects.
 """
 
 from __future__ import annotations
@@ -98,16 +96,6 @@ class CircuitInstance:
             oriented = _orient_rect(rect, self.orientation, self.template.width)
             shapes.append((layer, oriented.translated(self.x, self.y)))
         return shapes
-
-    def circuit_class_key(self) -> Tuple:
-        """Key identifying geometrically equal pin-access situations.
-
-        Instances sharing a template and orientation whose origins differ by
-        whole track pitches see identical local geometry, so pin access can
-        be computed once per class (Sec. 4.3).  The track-phase component is
-        added by the pin-access preprocessor, which knows the pitches.
-        """
-        return (self.template.name, self.orientation)
 
 
 #: Interned library templates keyed on the full parameter tuple.  A

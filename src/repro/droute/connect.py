@@ -262,8 +262,8 @@ class NetConnector:
             # blockage and foreign wire accounted for), and the sources
             # bound the backward sweep.
             pi = FutureCostGR(
-                self.space.graph, target_list, self.costs, area,
-                view=view, stop_vertices=sources,
+                self.space.graph, target_list, self.costs, view,
+                stop_vertices=sources,
             )
             stats.used_pi_gr += 1
             if OBS.enabled:

@@ -12,24 +12,26 @@ the reduced costs labels far fewer vertices.
   supergraph that keeps large blockages, always >= pi_H; used when the
   global route already contains a large detour.
 * ``FutureCostGR`` (after Ahrens-Henke-Rabenstein-Vygen,
-  arXiv:2111.06169): exact backward distances over the net's *global
-  routing corridor*, with large blockages kept.  The detailed search is
-  restricted to that corridor anyway, so the corridor distances are a
-  valid - and much tighter - lower bound whenever the corridor bends,
-  jogs cost more than preferred-direction wire, or a blockage forces a
-  detour; and because the corridor is a small slice of the chip, it is
-  cheap enough to build for *every* connection, not only the heavily
-  detoured ones that justify pi_P.
+  arXiv:2111.06169): exact backward distances over the forward search's
+  own graph view - the net's global-routing corridor with every blockage
+  and foreign wire accounted for.  The search is restricted to that view
+  anyway, so the distances are a valid - and much tighter - lower bound
+  whenever the corridor bends, jogs cost more than preferred-direction
+  wire, or a blockage forces a detour; and because the backward sweep
+  stops at the first settled source, it is cheap enough to build for
+  *every* corridor-restricted connection, not only the heavily detoured
+  ones that justify pi_P.
 
 Admissibility argument for pi_GR: it is computed as exact shortest-path
-distances from the target set in a supergraph G' of the corridor-
-restricted search graph G (same vertices inside the corridor minus large
-blockages, every G-edge present with cost <= its G-cost, because interval
-/ripup/spreading penalties only ever *add*).  Exact distances in a
+distances from the target set in a supergraph G' of the search graph G:
+the same open vertices, every edge between two of them (whether or not
+G may use it), each at G's cost - base cost plus the entry penalty of
+the interval the forward step moves into.  Exact distances in a
 supergraph lower-bound distances in the graph, and are consistent:
 dist'(v) <= c'(v,w) + dist'(w) <= c(v,w) + dist'(w).  Taking
 max(pi_H, dist') keeps both properties since pi_H is itself consistent.
-Forced vertices outside the corridor get UNREACHABLE, exactly like pi_P.
+A vertex G' cannot reach the targets from is disconnected in G too, so
+UNREACHABLE is a proof there, not merely a penalty as with pi_P.
 
 >>> from repro.chip.generator import ChipSpec, generate_chip
 >>> from repro.droute.space import RoutingSpace
@@ -42,11 +44,14 @@ Forced vertices outside the corridor get UNREACHABLE, exactly like pi_P.
 >>> pi_h(t)
 0
 >>> from repro.droute.area import RoutingArea
->>> pi_gr = FutureCostGR(graph, [t], SearchCosts(), RoutingArea.everywhere())
+>>> from repro.droute.intervals import GraphView
+>>> s = (z, 0, 0)
+>>> view = GraphView(space, "default", RoutingArea.everywhere(),
+...                  forced_vertices={s, t})
+>>> pi_gr = FutureCostGR(graph, [t], SearchCosts(), view)
 >>> pi_gr(t)
 0
->>> s = (z, 0, 0)
->>> pi_gr(s) >= pi_h(s)  # the corridor bound dominates plain l1
+>>> pi_gr(s) >= pi_h(s)  # the search-graph bound dominates plain l1
 True
 """
 
@@ -264,102 +269,46 @@ def _large_blockage_map(
 
 
 class FutureCostGR:
-    """pi_GR: corridor-tightened future cost (arXiv:2111.06169 direction).
+    """pi_GR: exact backward distances over the forward search's graph
+    (arXiv:2111.06169 direction).
 
-    Backward Dijkstra from the targets over the vertices of the net's
-    global-routing corridor (minus large blockages), using the real edge
-    costs.  See the module docstring for the admissibility argument.
+    ``view`` is the :class:`~repro.droute.intervals.GraphView` the
+    forward search runs on.  Its interval decomposition is the exact
+    open-vertex set (area-restricted and usability-filtered at vertex
+    granularity) and carries the interval entry penalties the forward
+    metric charges.  Openness is probed on demand through the view's
+    lazy per-track cache, which the forward search shares; through it
+    both sweeps also share the space's cross-search ``IntervalCache``.
 
-    Construction differs from :class:`FutureCostP` in two ways that make
-    it cheap enough to run on every connection:
-
-    * the explored vertex set is *enumerated once* from the corridor's
-      per-track cross ranges (``RoutingArea.cross_ranges``) instead of
-      being re-tested rectangle-by-rectangle at every edge relaxation;
-    * the Dijkstra runs over that precomputed set with a plain C heap.
-
-    Queries return ``max(pi_H, corridor distance)`` so pi_GR dominates
-    the classic bound; vertices outside the corridor (only forced
-    sources can be) get UNREACHABLE, matching pi_P's convention.
+    The backward Dijkstra runs from the targets with a plain C heap and
+    stops at the first settled vertex of ``stop_vertices`` (the
+    sources).  Queries return ``max(pi_H, distance)`` so pi_GR dominates
+    the classic bound; see the module docstring for admissibility.
     """
+
+    #: The backward sweep covers exactly the forward search's vertex
+    #: set, so UNREACHABLE proves disconnection and the search may prune
+    #: such labels instead of exhausting the frontier.
+    unreachable_is_proof = True
 
     def __init__(
         self,
         graph: TrackGraph,
         targets: Sequence[Vertex],
         costs: SearchCosts,
-        corridor: RoutingArea,
-        large_blockages: Sequence[Tuple[int, Rect]] = (),
-        small_blockage_threshold: int = 0,
-        view=None,
+        view,
         stop_vertices: Iterable[Vertex] = (),
     ) -> None:
         self.graph = graph
         self.pi_h = FutureCostH(graph, targets, costs)
         self.costs = costs
-        if small_blockage_threshold <= 0:
-            stack = graph.stack
-            small_blockage_threshold = 4 * stack[stack.bottom].pitch
         self._dist: Dict[Vertex, int] = {}
         #: Truncation bound: when the backward Dijkstra stopped early
-        #: (every stop vertex settled), unsettled corridor vertices are
-        #: at distance >= this, so max(pi_H, bound) stays admissible.
+        #: (a stop vertex settled), unsettled open vertices are at
+        #: distance >= this, so max(pi_H, bound) stays admissible.
         self._truncated_at: Optional[int] = None
         self._view = view
-        self._open: Set[Vertex] = set()
-        #: In view mode the backward sweep covers *exactly* the forward
-        #: search's vertex set, so UNREACHABLE is a proof of
-        #: disconnection and the search may prune such labels instead of
-        #: exhausting the frontier.  In corridor-set mode forced
-        #: vertices outside the corridor make UNREACHABLE merely a
-        #: penalty, as with pi_P.
-        self.unreachable_is_proof = view is not None
-        if view is not None:
-            # The forward search's own interval decomposition is the
-            # exact open-vertex set (area-restricted *and* usability-
-            # filtered at vertex granularity) plus the interval entry
-            # penalties the forward metric charges; its lazy per-track
-            # cache is shared with the forward search, so openness is
-            # probed on demand instead of pre-enumerated.  Through the
-            # view, both sweeps also share the space's cross-search
-            # IntervalCache: a track already scanned by any earlier
-            # search at the same epoch is reused here without touching
-            # the fast grid.
-            self._build_view(targets, view, stop_vertices)
-        else:
-            blocked = _large_blockage_map(
-                large_blockages, small_blockage_threshold
-            )
-            open_set = self._corridor_vertices(corridor, blocked)
-            open_set.update(targets)
-            self._open = open_set
-            self._build(targets, open_set, stop_vertices)
-
-    def _corridor_vertices(
-        self, corridor: RoutingArea, blocked: Dict[int, List[Rect]]
-    ) -> Set[Vertex]:
-        graph = self.graph
-        out: Set[Vertex] = set()
-        for z in graph.stack.indices:
-            if not corridor.allows_layer(z):
-                continue
-            layer_blocked = blocked.get(z, ())
-            for t in corridor.track_indices(graph, z):
-                for c_lo, c_hi in corridor.cross_ranges(graph, z, t):
-                    for c in range(c_lo, c_hi + 1):
-                        vertex = (z, t, c)
-                        if layer_blocked:
-                            x, y, _z = graph.position(vertex)
-                            # Interior containment: wires may run on
-                            # blockage borders (as in pi_P).
-                            if any(
-                                rect.x_lo < x < rect.x_hi
-                                and rect.y_lo < y < rect.y_hi
-                                for rect in layer_blocked
-                            ):
-                                continue
-                        out.add(vertex)
-        return out
+        self._build_view(targets, view, stop_vertices)
 
     def _build_view(
         self,
@@ -399,6 +348,10 @@ class FutureCostGR:
             if stop_set:
                 settled.add(vertex)
                 if vertex in stop_set:
+                    # Every *unsettled* vertex is at distance >= d, so d
+                    # bounds them.  Tentative labels may overestimate
+                    # the true distance - drop them so queries fall
+                    # through to the truncation bound.
                     self._truncated_at = d
                     self._dist = {
                         v: dv for v, dv in dist.items() if v in settled
@@ -421,58 +374,15 @@ class FutureCostGR:
                     dist[neighbour] = nd
                     heapq.heappush(heap, (nd, neighbour))
 
-    def _build(
-        self,
-        targets: Sequence[Vertex],
-        open_set: Set[Vertex],
-        stop_vertices: Iterable[Vertex],
-    ) -> None:
-        graph = self.graph
-        costs = self.costs
-        dist = self._dist
-        stop_set = set(stop_vertices) & open_set
-        settled: Set[Vertex] = set()
-        heap: List[Tuple[int, Vertex]] = []
-        for vertex in targets:
-            dist[vertex] = 0
-            heap.append((0, vertex))
-        heapq.heapify(heap)
-        while heap:
-            d, vertex = heapq.heappop(heap)
-            if d > dist.get(vertex, UNREACHABLE):
-                continue
-            if stop_set:
-                settled.add(vertex)
-                if vertex in stop_set:
-                    # First source settled: every *unsettled* vertex is
-                    # at distance >= d, so d is a valid bound for them.
-                    # Tentative labels still in ``dist`` may overestimate
-                    # the true backward distance - drop them so queries
-                    # fall through to the truncation bound.
-                    self._truncated_at = d
-                    self._dist = {v: dv for v, dv in dist.items() if v in settled}
-                    return
-            z = vertex[0]
-            for neighbour, kind, length in graph.neighbors(vertex):
-                if neighbour not in open_set:
-                    continue
-                layer_or_via = min(z, neighbour[0]) if kind == "via" else z
-                nd = d + costs.edge_cost(kind, layer_or_via, length)
-                if nd < dist.get(neighbour, UNREACHABLE):
-                    dist[neighbour] = nd
-                    heapq.heappush(heap, (nd, neighbour))
-
-    def _is_open(self, vertex: Vertex) -> bool:
-        if self._view is not None:
-            return self._view.interval_at(vertex) is not None
-        return vertex in self._open
-
     def __call__(self, vertex: Vertex) -> int:
         h = self.pi_h(vertex)
         d = self._dist.get(vertex)
         if d is None:
-            if self._truncated_at is not None and self._is_open(vertex):
-                # In the corridor but beyond the truncation frontier:
+            if (
+                self._truncated_at is not None
+                and self._view.interval_at(vertex) is not None
+            ):
+                # Open but beyond the truncation frontier:
                 # dist' >= the frontier bound, still a valid lower bound.
                 return max(h, self._truncated_at)
             return UNREACHABLE

@@ -18,7 +18,7 @@ Interval kinds:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.droute.area import RoutingArea
 from repro.droute.space import RoutingSpace, effective_via_type, effective_wire_type
@@ -107,26 +107,6 @@ class GraphView:
     # ------------------------------------------------------------------
     # Usability
     # ------------------------------------------------------------------
-    def _wire_state(self, vertex: Vertex) -> Tuple[bool, bool]:
-        """(usable, needs_ripup) for pass-through wiring at ``vertex``."""
-        if vertex in self.forced:
-            return True, False
-        if not self.area.contains_vertex(self.graph, vertex):
-            return False, False
-        fast = self.space.fast_grid
-        if not self.graph.stack.has_layer(vertex[0]):
-            return False, False
-        type_name = self.type_for_layer(vertex[0])
-        if type_name is None:
-            return False, False
-        if fast.vertex_usable(type_name, vertex, "wire"):
-            return True, False
-        if self.ripup_level >= 0 and fast.vertex_usable(
-            type_name, vertex, "wire", self.ripup_level
-        ):
-            return True, True
-        return False, False
-
     def edge_usable(self, v: Vertex, w: Vertex, kind: str) -> bool:
         level = self.ripup_level if self.ripup_level >= 0 else -2
         if kind == "via":

@@ -10,9 +10,10 @@ solutions by endpoint spreading, blocked tracks, feasible on-track
 continuations and length.  Chosen paths are reserved in the routing space
 before routing starts so later wires cannot invalidate them.
 
-Because placed circuits come from few library prototypes, catalogues are
-cached per *circuit class*: template, orientation, track phase, and the
-neighbourhood's foreign geometry (Sec. 4.3).
+Catalogue builds are memoized on their exact inputs: the pin, the
+radius and every shape the build can read.  A hit replays what a
+rebuild would produce, so re-routed nets over unchanged geometry skip
+the blockage-grid searches without changing any result.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.grid.blockgrid import (
 )
 from repro.grid.shapegrid import RipupLevel
 from repro.grid.trackgraph import Vertex
-from repro.tech.wiring import ShapeKind, StickFigure
+from repro.tech.wiring import StickFigure
 
 
 class AccessPath:
@@ -126,9 +127,6 @@ class PinAccessPlanner:
         #: Optional :class:`repro.flow.faults.FaultInjector` probed at the
         #: "pin_access" site (deterministic fault-injection harness).
         self.fault_injector = fault_injector
-        #: Catalogue cache per circuit class (Sec. 4.3); key includes the
-        #: track phase and the neighbourhood geometry.
-        self._class_cache: Dict[Tuple, Dict[str, List[AccessPath]]] = {}
         #: Exact-input memo for :meth:`build_catalogue`: key = (pin,
         #: radius, all shape-grid geometry any of its checks can read).
         #: Identical inputs make the blockage-grid Dijkstras and via
@@ -138,8 +136,6 @@ class PinAccessPlanner:
         #: (``pinaccess.evictions`` counts the drops); eviction can only
         #: cost a rebuild, never change its result.
         self._catalogue_memo: "OrderedDict[Tuple, List[AccessPath]]" = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     # ------------------------------------------------------------------
     # Catalogue construction
@@ -410,106 +406,9 @@ class PinAccessPlanner:
         # than leaving the pin open (both enter Table I's error count).
         return conceded[:1]
 
-    # ------------------------------------------------------------------
-    # Circuit-class caching
-    # ------------------------------------------------------------------
-    def _neighbourhood_key(self, circuit, window: Rect) -> Tuple:
-        entries = []
-        for layer in (1, 2):
-            if not self.space.chip.stack.has_layer(layer):
-                continue
-            for entry in self.space.shape_grid.query("wiring", layer, window):
-                entries.append(
-                    (
-                        layer,
-                        entry.rect.x_lo - circuit.x,
-                        entry.rect.y_lo - circuit.y,
-                        entry.rect.x_hi - circuit.x,
-                        entry.rect.y_hi - circuit.y,
-                        entry.shape_kind,
-                        entry.net is not None,
-                    )
-                )
-        return tuple(sorted(entries))
-
-    def _track_phase(self, circuit) -> Tuple:
-        graph = self.space.graph
-        phases = []
-        for z in (1, 2):
-            if not graph.stack.has_layer(z):
-                continue
-            pitch = graph.stack[z].pitch
-            tracks = graph.tracks[z]
-            anchor = tracks[0] if tracks else 0
-            origin = circuit.y if graph.stack.direction(z).value == "horizontal" else circuit.x
-            phases.append((z, (origin - anchor) % pitch))
-        return tuple(phases)
-
-    def circuit_catalogues(
-        self, circuit, pins: Sequence[Pin]
-    ) -> Dict[str, List[AccessPath]]:
-        """Catalogues for all pins of one placed circuit, class-cached."""
-        window = circuit.bounding_box().expanded(
-            self.radius_pitches * self.space.chip.stack[1].pitch
-        )
-        key = (
-            circuit.circuit_class_key(),
-            self._track_phase(circuit),
-            self._neighbourhood_key(circuit, window),
-            tuple(sorted(pin.name.split("/")[-1] for pin in pins)),
-        )
-        cached = self._class_cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            if OBS.enabled:
-                OBS.count("pinaccess.catalogue_hits")
-            # Translate the cached relative solution to this instance.
-            out: Dict[str, List[AccessPath]] = {}
-            by_template_pin: Dict[str, Pin] = {
-                pin.name.split("/")[-1]: pin for pin in pins
-            }
-            for template_pin, rel_paths in cached.items():
-                pin = by_template_pin.get(template_pin)
-                if pin is None:
-                    continue
-                out[pin.name] = [
-                    self._translate(rel, circuit, pin) for rel in rel_paths
-                ]
-                out[pin.name] = [p for p in out[pin.name] if p is not None]
-            return out
-        self.cache_misses += 1
-        if OBS.enabled:
-            OBS.count("pinaccess.catalogue_misses")
-        catalogues: Dict[str, List[AccessPath]] = {}
-        relative: Dict[str, List[AccessPath]] = {}
-        for pin in pins:
-            paths = self.build_catalogue(pin)
-            catalogues[pin.name] = paths
-            relative[pin.name.split("/")[-1]] = paths
-        self._class_cache[key] = relative
-        return catalogues
-
-    def _translate(self, path: AccessPath, circuit, pin: Pin) -> Optional[AccessPath]:
-        """Re-anchor a cached path for another instance of the class.
-
-        Cached instances share exact geometry relative to the circuit, so
-        translation amounts to re-deriving the endpoint vertex; if the
-        vertex does not exist here (different track cut), drop the path.
-        """
-        graph = self.space.graph
-        ex, ey, ez = graph.position(path.endpoint)
-        vertex = graph.vertex_at(ex, ey, ez)
-        if vertex is None:
-            return None
-        return AccessPath(
-            pin.name,
-            pin.net.name if pin.net is not None else "",
-            path.layer,
-            list(path.points),
-            path.via,
-            vertex,
-            path.length,
-        )
+    def circuit_catalogues(self, pins: Sequence[Pin]) -> Dict[str, List[AccessPath]]:
+        """Catalogues for all pins of one placed circuit, in pin order."""
+        return {pin.name: self.build_catalogue(pin) for pin in pins}
 
     # ------------------------------------------------------------------
     # Conflict-free selection (destructive bounding)

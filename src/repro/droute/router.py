@@ -69,8 +69,6 @@ class DetailedRoutingResult:
         self.runtime = 0.0
         self.stats = ConnectionStats()
         self.ripup_events = 0
-        self.access_cache_hits = 0
-        self.access_cache_misses = 0
         #: net name -> structured failure record for every failed net.
         self.failures: Dict[str, NetFailure] = {}
         #: Nets that failed at least one attempt but eventually routed,
@@ -269,13 +267,12 @@ class DetailedRouter:
                     # double-insert the path's shapes.
                     continue
                 by_circuit.setdefault(pin.circuit_id, []).append(pin)
-        circuits = {c.instance_id: c for c in self.chip.circuits}
+        placed = {c.instance_id for c in self.chip.circuits}
         for circuit_id, pins in sorted(by_circuit.items()):
-            circuit = circuits.get(circuit_id)
-            if circuit is None:
+            if circuit_id not in placed:
                 continue
             try:
-                catalogues = self.planner.circuit_catalogues(circuit, pins)
+                catalogues = self.planner.circuit_catalogues(pins)
                 solution = self.planner.conflict_free_solution(catalogues)
             except Exception:  # noqa: BLE001 - isolation boundary
                 # A fault while preprocessing one circuit costs only its
@@ -437,8 +434,6 @@ class DetailedRouter:
         result.wire_length = self.space.total_wire_length()
         result.via_count = self.space.total_via_count()
         result.runtime = time.time() - start
-        result.access_cache_hits = self.planner.cache_hits
-        result.access_cache_misses = self.planner.cache_misses
         return result
 
     def _record_failure(

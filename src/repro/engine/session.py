@@ -193,8 +193,8 @@ class RoutingSession:
         #: reuses the catalogue work of the full run.
         self.access_paths: Dict[str, object] = {}
         #: Persistent pin-access planner (set by the first DetailedRouter
-        #: bound to the session; its circuit-class catalogue cache
-        #: survives across reroutes).
+        #: bound to the session; its exact-input catalogue memo survives
+        #: across reroutes).
         self.planner = None
         #: The global router of the last full run (graph + capacities +
         #: resource model, reused by ECO reroutes until geometry edits

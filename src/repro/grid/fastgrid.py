@@ -742,27 +742,6 @@ class FastGrid:
                     dirty = self._dirty.setdefault((z, t), set())
                     dirty.update(range(c_lo, c_hi + 1))
 
-    def clear_dirty(self, layer: int, rect: Rect) -> None:
-        """Remove dirty bits in a region (after off-track shapes left)."""
-        stack = self.graph.stack
-        for z in (layer - 1, layer, layer + 1):
-            if not stack.has_layer(z):
-                continue
-            radius = self.checker.rules.max_interaction_distance(z) + 2 * stack[z].pitch
-            window = rect.expanded(radius)
-            if stack.direction(z) is Direction.HORIZONTAL:
-                track_range = self.graph.tracks_in_range(z, window.y_lo, window.y_hi)
-                cross_range = self.graph.crosses_in_range(z, window.x_lo, window.x_hi)
-            else:
-                track_range = self.graph.tracks_in_range(z, window.x_lo, window.x_hi)
-                cross_range = self.graph.crosses_in_range(z, window.y_lo, window.y_hi)
-            if not cross_range:
-                continue
-            for t in track_range:
-                dirty = self._dirty.get((z, t))
-                if dirty:
-                    dirty.difference_update(cross_range)
-
     # ------------------------------------------------------------------
     # Statistics (Sec. 3.6 / Fig. 4)
     # ------------------------------------------------------------------

@@ -122,29 +122,21 @@ def yield_loss(length: float, s: float, pitch: float = 1.0) -> float:
 class ResourceModel:
     """Capacities, global resource bounds and priced edge costs.
 
-    ``objective`` names the global resource meant as the optimization
-    target (the paper optimizes wirelength / power / yield; constraints
-    get hard bounds, the objective a guessed achievable bound, Sec. 2.1).
-    It is validated and stored, but nothing reads it: every global
-    resource gets a guessed bound whatever the objective, so all three
-    route alike (ROADMAP, "``GlobalRouter(objective=...)`` has no
-    effect").
+    Every global resource (wirelength, power, yield) gets a guessed
+    achievable bound (``bounds``), which resource sharing treats like
+    an edge capacity (Sec. 2.1).
     """
 
     def __init__(
         self,
         graph: GlobalRoutingGraph,
         nets: Sequence[Net],
-        objective: str = "wirelength",
         optimize_spacing: bool = True,
         max_extra_space: float = 2.0,
         bounds: Optional[Dict[str, float]] = None,
     ) -> None:
-        if objective not in GLOBAL_RESOURCES:
-            raise ValueError(f"unknown objective {objective}")
         self.graph = graph
         self.nets = list(nets)
-        self.objective = objective
         self.optimize_spacing = optimize_spacing
         self.max_extra_space = max_extra_space
         self._net_width: Dict[str, float] = {

@@ -121,13 +121,7 @@ class GlobalRoutingResult:
 
 
 class GlobalRouter:
-    """Resource-sharing global router (Sec. 2).
-
-    ``objective`` is validated and stored on the :class:`ResourceModel`,
-    but nothing reads it yet: every objective routes exactly like
-    ``"wirelength"`` (ROADMAP, "``GlobalRouter(objective=...)`` has no
-    effect").
-    """
+    """Resource-sharing global router (Sec. 2)."""
 
     def __init__(
         self,
@@ -135,7 +129,6 @@ class GlobalRouter:
         tile_size: Optional[int] = None,
         phases: int = 40,
         epsilon: float = 1.0,
-        objective: str = "wirelength",
         optimize_spacing: bool = True,
         seed: Optional[int] = None,
         track_plan: Optional[TrackPlan] = None,
@@ -167,8 +160,7 @@ class GlobalRouter:
         if stacked_via_reduction:
             apply_stacked_via_reduction(self.graph)
         self.model = ResourceModel(
-            self.graph, chip.nets, objective=objective,
-            optimize_spacing=optimize_spacing,
+            self.graph, chip.nets, optimize_spacing=optimize_spacing,
         )
         self.phases = phases
         self.epsilon = epsilon

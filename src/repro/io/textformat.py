@@ -20,8 +20,7 @@ Routes format::
 
 Cell templates are not serialized (the text chip stores placed pin
 shapes and obstruction rectangles directly); reloaded chips route
-identically but lose the template/orientation metadata used only by the
-pin-access class cache.
+identically but lose the template/orientation metadata.
 """
 
 from __future__ import annotations

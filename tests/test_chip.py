@@ -70,14 +70,6 @@ class TestCells:
         assert fn_rect.x_hi == width - n_rect.x_lo
         assert fn_rect.y_lo == n_rect.y_lo
 
-    def test_circuit_class_key_groups_by_template_and_orientation(self):
-        lib = example_cell_library()
-        a = CircuitInstance(0, lib[0], 0, 0, Orientation.N)
-        b = CircuitInstance(1, lib[0], 800, 0, Orientation.N)
-        c = CircuitInstance(2, lib[0], 0, 0, Orientation.FN)
-        assert a.circuit_class_key() == b.circuit_class_key()
-        assert a.circuit_class_key() != c.circuit_class_key()
-
 
 class TestChip:
     def test_duplicate_net_name_rejected(self):

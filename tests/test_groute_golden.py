@@ -7,7 +7,6 @@ of the sorted final prices, all floats written with ``float.hex``, plus
 the oracle call and reuse counts:
 
 * :meth:`GlobalRouter.run` on two small chips (chip seeds 7 and 8);
-* the ``power`` and ``yield`` objectives;
 * ``optimize_spacing=False``;
 * a chip with wide nets and a ``detour_bound`` net;
 * :meth:`GlobalRouter.run_incremental` warm-started from a full run;
@@ -174,8 +173,6 @@ def run_parallel(seed):
 RUNS = {
     "router_7": (run_router, 7, {}),
     "router_8": (run_router, 8, {}),
-    "power_7": (run_router, 7, {"objective": "power"}),
-    "yield_7": (run_router, 7, {"objective": "yield"}),
     "no_spacing_7": (run_router, 7, {"optimize_spacing": False}),
     "detour_wide_3": (run_detour_wide, 3, {}),
     "incremental_7": (run_incremental, 7, {}),

@@ -85,8 +85,7 @@ def solve_golden(space, s, t, entry):
     if entry["pi"] == "pi_h":
         pi = FutureCostH(space.graph, [t], costs)
     else:
-        pi = FutureCostGR(space.graph, [t], costs, area,
-                          view=view, stop_vertices={s})
+        pi = FutureCostGR(space.graph, [t], costs, view, stop_vertices={s})
     search = (
         interval_path_search if entry["search"] == "interval" else node_path_search
     )
@@ -410,24 +409,27 @@ class TestFutureCosts:
         graph = space.graph
         costs = SearchCosts()
         t = (3, 2, 4)
-        area = RoutingArea.everywhere()
-        pi_gr = FutureCostGR(graph, [t], costs, area)
-        pi_h = FutureCostH(graph, [t], costs)
-        assert pi_gr(t) == 0
         rng = random.Random(11)
+        sources = []
         for _ in range(12):
             z = rng.choice(graph.stack.indices)
-            s = (z, rng.randrange(len(graph.tracks[z])),
-                 rng.randrange(len(graph.crosses[z])))
+            sources.append((z, rng.randrange(len(graph.tracks[z])),
+                            rng.randrange(len(graph.crosses[z]))))
+        view = GraphView(space, "default", RoutingArea.everywhere(),
+                         forced_vertices={t, *sources})
+        pi_gr = FutureCostGR(graph, [t], costs, view)
+        pi_h = FutureCostH(graph, [t], costs)
+        assert pi_gr(t) == 0
+        for s in sources:
             assert pi_gr(s) >= pi_h(s)
 
     def test_pi_gr_admissible(self, space):
-        """pi_GR(s) never exceeds the true optimal search cost."""
+        """pi_GR(s) never exceeds the true optimal search cost, with the
+        sweep run to exhaustion (no stop vertices)."""
         graph = space.graph
         costs = SearchCosts()
         t = (3, 2, 4)
         area = RoutingArea.everywhere()
-        pi_gr = FutureCostGR(graph, [t], costs, area)
         rng = random.Random(12)
         for _ in range(20):
             z = rng.choice(graph.stack.indices)
@@ -435,6 +437,8 @@ class TestFutureCosts:
                  rng.randrange(len(graph.crosses[z])))
             if s == t:
                 continue
+            view = GraphView(space, "default", area, forced_vertices={s, t})
+            pi_gr = FutureCostGR(graph, [t], costs, view)
             cost = self._optimal_cost(space, s, t)
             if cost is not None:
                 assert pi_gr(s) <= cost
@@ -457,8 +461,7 @@ class TestFutureCosts:
             if s == t:
                 continue
             view = GraphView(space, "default", area, forced_vertices={s, t})
-            pi_gr = FutureCostGR(graph, [t], costs, area,
-                                 view=view, stop_vertices={s})
+            pi_gr = FutureCostGR(graph, [t], costs, view, stop_vertices={s})
             result = interval_path_search(view, {s: 0}, {t}, costs, pi_gr)
             reference = self._optimal_cost(space, s, t)
             if reference is None:
@@ -480,8 +483,7 @@ class TestFutureCosts:
         s = (z, 0, 0)
         t = (z, len(graph.tracks[z]) - 1, len(graph.crosses[z]) - 1)
         view = GraphView(space, "default", area, forced_vertices={s})
-        pi_gr = FutureCostGR(graph, [t], costs, area,
-                             view=view, stop_vertices={s})
+        pi_gr = FutureCostGR(graph, [t], costs, view, stop_vertices={s})
         assert pi_gr.unreachable_is_proof
         assert pi_gr(s) >= UNREACHABLE
         result = interval_path_search(view, {s: 0}, {t}, costs, pi_gr)

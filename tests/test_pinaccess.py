@@ -9,7 +9,7 @@ from repro.chip.design import Chip
 from repro.chip.generator import ChipSpec, generate_chip
 from repro.chip.net import Net, Pin
 from repro.droute import pinaccess
-from repro.droute.pinaccess import AccessPath, PinAccessPlanner
+from repro.droute.pinaccess import PinAccessPlanner
 from repro.droute.router import DetailedRouter
 from repro.droute.space import RoutingSpace
 from repro.geometry.rect import Rect
@@ -22,6 +22,29 @@ from repro.tech.stacks import example_rules, example_stack, example_wiretypes
 def space():
     spec = ChipSpec("patest", rows=2, row_width_cells=5, net_count=6, seed=11)
     return RoutingSpace(generate_chip(spec))
+
+
+def figure7_template(obstructions=()):
+    """The three-pin cell of Fig. 7 (pitch 80), optionally with the
+    blockage bar above its pins."""
+    return CellTemplate(
+        "FIG7",
+        width=10 * 80,
+        height=960,
+        pins={
+            "P1": [(1, Rect(150, 430, 190, 470))],
+            "P2": [(1, Rect(390, 430, 430, 470))],
+            "P3": [(1, Rect(630, 430, 670, 470))],
+        },
+        obstructions=list(obstructions),
+    )
+
+
+def _canonical(paths):
+    return [
+        (p.pin_name, p.layer, p.endpoint, p.length, tuple(p.points), p.via)
+        for p in paths
+    ]
 
 
 class TestCatalogue:
@@ -163,12 +186,10 @@ class TestConflictFreeSolution:
         for net in space.chip.nets:
             for pin in net.pins:
                 by_circuit.setdefault(pin.circuit_id, []).append(pin)
-        circuits = {c.instance_id: c for c in space.chip.circuits}
-        cid, pins = next(
-            (cid, pins) for cid, pins in sorted(by_circuit.items())
-            if len(pins) >= 2
+        pins = next(
+            pins for _cid, pins in sorted(by_circuit.items()) if len(pins) >= 2
         )
-        return planner, planner.circuit_catalogues(circuits[cid], pins)
+        return planner, planner.circuit_catalogues(pins)
 
     def test_solution_is_conflict_free(self, space):
         planner, catalogues = self._planner_and_catalogues(space)
@@ -197,18 +218,7 @@ class TestConflictFreeSolution:
         """Fig. 7: three pins behind a blockage bar; a greedy first-fit
         choice can block the third pin, the B&B must not."""
         stack = example_stack(4)
-        pitch = 80
-        template = CellTemplate(
-            "FIG7",
-            width=10 * pitch,
-            height=960,
-            pins={
-                "P1": [(1, Rect(150, 430, 190, 470))],
-                "P2": [(1, Rect(390, 430, 430, 470))],
-                "P3": [(1, Rect(630, 430, 670, 470))],
-            },
-            obstructions=[(1, Rect(60, 530, 740, 570))],
-        )
+        template = figure7_template(obstructions=[(1, Rect(60, 530, 740, 570))])
         inst = CircuitInstance(0, template, 1000, 1000)
         pins = {
             name: Pin(f"0/{name}", inst.pin_shapes(name), circuit_id=0)
@@ -225,29 +235,52 @@ class TestConflictFreeSolution:
         )
         space = RoutingSpace(chip)
         planner = PinAccessPlanner(space)
-        catalogues = planner.circuit_catalogues(inst, list(pins.values()))
+        catalogues = planner.circuit_catalogues(list(pins.values()))
         assert all(catalogues[f"0/{n}"] for n in ("P1", "P2", "P3"))
         solution = planner.conflict_free_solution(catalogues)
         assert solution is not None
         assert len(solution) == 3, "all three pins must get access paths"
 
 
-class TestClassCache:
-    def test_identical_instances_hit_cache(self):
-        spec = ChipSpec("pacache", rows=2, row_width_cells=6, net_count=8, seed=21)
-        space = RoutingSpace(generate_chip(spec))
+class TestCircuitCatalogues:
+    def test_second_instance_paths_start_at_its_pins(self):
+        """One template placed twice at origins congruent mod the pitch:
+        the second instance's catalogues are its own (each path starts
+        at that instance's pin) and equal a fresh build."""
+        stack = example_stack(4)
+        template = figure7_template()
+        instances = [
+            CircuitInstance(0, template, 1000, 1000),
+            CircuitInstance(1, template, 4200, 4200),
+        ]
+        pins = [
+            [
+                Pin(f"{inst.instance_id}/{name}", inst.pin_shapes(name),
+                    circuit_id=inst.instance_id)
+                for name in ("P1", "P2", "P3")
+            ]
+            for inst in instances
+        ]
+        nets = [
+            Net(f"n{i}", [first, second])
+            for i, (first, second) in enumerate(zip(*pins))
+        ]
+        chip = Chip(
+            "twice", Rect(0, 0, 8000, 8000), stack, example_rules(4),
+            example_wiretypes(stack), circuits=instances, nets=nets,
+        )
+        space = RoutingSpace(chip)
         planner = PinAccessPlanner(space)
-        by_circuit = {}
-        for net in space.chip.nets:
-            for pin in net.pins:
-                by_circuit.setdefault(pin.circuit_id, []).append(pin)
-        circuits = {c.instance_id: c for c in space.chip.circuits}
-        for cid, pins in sorted(by_circuit.items()):
-            planner.circuit_catalogues(circuits[cid], pins)
-        assert planner.cache_misses > 0
-        # With few templates and repeated geometry, some hits must occur.
-        total = planner.cache_hits + planner.cache_misses
-        assert total == len(by_circuit)
+        catalogues = {}
+        for instance_pins in pins:
+            catalogues.update(planner.circuit_catalogues(instance_pins))
+        fresh = PinAccessPlanner(space)
+        for pin in pins[1]:
+            paths = catalogues[pin.name]
+            assert paths
+            for path in paths:
+                assert path.points[0] == pin.reference_point()
+            assert _canonical(paths) == _canonical(fresh.build_catalogue(pin))
 
 
 class TestReservation:
