@@ -49,7 +49,7 @@ def _build_chip():
         "fig7", Rect(0, 0, 6000, 6000), stack, example_rules(4),
         example_wiretypes(stack), circuits=[inst], nets=nets,
     )
-    return chip, inst, list(pins.values())
+    return chip, list(pins.values())
 
 
 def _greedy(planner, catalogues):
@@ -65,12 +65,12 @@ def _greedy(planner, catalogues):
 
 
 def test_fig7_conflict_free_access(benchmark):
-    chip, inst, pins = _build_chip()
+    chip, pins = _build_chip()
     space = RoutingSpace(chip)
     planner = PinAccessPlanner(space)
 
     def solve():
-        catalogues = planner.circuit_catalogues(inst, pins)
+        catalogues = planner.circuit_catalogues(pins)
         solution = planner.conflict_free_solution(catalogues)
         return catalogues, solution
 

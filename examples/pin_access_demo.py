@@ -64,9 +64,8 @@ def main() -> None:
     chip = build_fig7_chip()
     space = RoutingSpace(chip)
     planner = PinAccessPlanner(space)
-    circuit = chip.circuits[0]
     pins = [pin for net in chip.nets for pin in net.pins if pin.circuit_id == 0]
-    catalogues = planner.circuit_catalogues(circuit, pins)
+    catalogues = planner.circuit_catalogues(pins)
 
     print("Catalogue sizes per pin:")
     for name in sorted(catalogues):

@@ -224,7 +224,7 @@ class TestDegenerateCorridors:
         name = chip.nets[0].name
         area = result.corridor(name, margin_tiles=2)
         assert area.boxes is None  # RoutingArea.everywhere()
-        assert area.contains(0, 0, 1) and area.allows_layer(6)
+        assert area.contains(0, 0, 1) and area.contains(0, 0, 6)
 
     def test_unrouted_net_detour_is_one(self):
         chip, result = self._empty_result()
