@@ -83,12 +83,9 @@ def _route_worker(conn, manifest, region_index):
         from repro.flow.bonnroute import BonnRouteFlow
         from repro.io.shards import ShardStore
 
-        store = ShardStore(manifest)
-        chip = store.chip_for_region(region_index)
+        chip = ShardStore(manifest).chip_for_region(region_index)
         start = time.time()
-        result = BonnRouteFlow(
-            chip, gr_phases=8, seed=1, shard_store=store
-        ).run()
+        result = BonnRouteFlow(chip, gr_phases=8, seed=1).run()
         conn.send(
             {
                 "ok": True,

@@ -97,13 +97,11 @@ def _write_flight_dump(path: str) -> None:
 def _cmd_route(args: argparse.Namespace) -> int:
     from repro.obs import OBS, JsonlTraceSink
 
-    shard_store = None
     if args.shard_region is not None:
         from repro.io.shards import ShardFormatError, ShardStore
 
         try:
-            shard_store = ShardStore(args.chip)
-            chip = shard_store.chip_for_region(args.shard_region)
+            chip = ShardStore(args.chip).chip_for_region(args.shard_region)
         except (OSError, IndexError, ShardFormatError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -144,7 +142,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 region_timeout_s=args.region_timeout,
                 preroute_local_nets=not args.no_preroute,
-                shard_store=shard_store,
             ).run()
         except CheckpointError as error:
             print(f"error: {error}", file=sys.stderr)

@@ -41,6 +41,11 @@ from repro.grid.trackgraph import Vertex
 from repro.tech.wiring import StickFigure
 from repro.util.unionfind import UnionFind
 
+#: Use pi_P when the GR corridor detour reaches this factor over the l1
+#: distance (Sec. 4.1: "only if the global routing for this connection
+#: already contains a large detour").
+DETOUR_THRESHOLD = 1.8
+
 
 class ConnectionStats:
     """Counters for one net's routing."""
@@ -96,8 +101,6 @@ class NetConnector:
         access_paths: Optional[Dict[str, AccessPath]] = None,
         planner=None,
         use_interval_search: bool = True,
-        ripup_base_penalty: int = 0,
-        detour_threshold: float = 1.8,
         spreading=None,
         fault_injector=None,
     ) -> None:
@@ -109,17 +112,10 @@ class NetConnector:
         #: "we dynamically generate new access paths").
         self.planner = planner
         self.use_interval_search = use_interval_search
-        self.ripup_base_penalty = (
-            ripup_base_penalty
-            if ripup_base_penalty > 0
-            else 20 * space.chip.stack[space.chip.stack.bottom].pitch
-        )
+        #: Base cost of crossing foreign wiring: 20 bottom-layer pitches.
+        self.ripup_base_penalty = 20 * space.chip.stack[space.chip.stack.bottom].pitch
         #: Per-vertex ripup history: penalties grow on reuse (Sec. 4.2).
         self.ripup_history: Dict[Vertex, int] = {}
-        #: Use pi_P when the GR corridor detour exceeds this factor over
-        #: the l1 distance (Sec. 4.1: "only if the global routing for this
-        #: connection already contains a large detour").
-        self.detour_threshold = detour_threshold
         #: Optional WireSpreading model: extra costs on keep-free
         #: intervals (Sec. 4.2).
         self.spreading = spreading
@@ -349,7 +345,7 @@ class NetConnector:
         result = ConnectionResult(net.name)
         if area is None:
             area = RoutingArea.everywhere()
-        use_pi_p = corridor_detour >= self.detour_threshold
+        use_pi_p = corridor_detour >= DETOUR_THRESHOLD
 
         # Component bookkeeping: pins grouped by what is already connected.
         vertex_sets: Dict[int, Set[Vertex]] = {
@@ -401,7 +397,6 @@ class NetConnector:
             new_sticks_all: List[Tuple[StickFigure, bool]] = []
             new_vias_all: List[Tuple[ViaInstance, bool]] = []
             failed_sources: Set[int] = set()
-            guard = 0
             try:
                 self._connect_components(
                     net, area, max_ripup_level, use_pi_p, deadline,

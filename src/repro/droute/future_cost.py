@@ -71,34 +71,26 @@ class SearchCosts:
 
     Wires in preferred direction cost their l1 length; jogs cost
     ``jog_factor`` times their length (beta_z); a via costs ``via_cost``
-    (gamma).  A single factor per layer kind keeps the example technology
-    simple; per-layer overrides are possible via the dicts.
+    (gamma).  One jog factor and one via cost serve every layer of the
+    example technology.
     """
 
-    def __init__(
-        self,
-        jog_factor: int = 2,
-        via_cost: int = 160,
-        jog_factor_per_layer: Optional[Dict[int, int]] = None,
-        via_cost_per_layer: Optional[Dict[int, int]] = None,
-    ) -> None:
+    def __init__(self, jog_factor: int = 2, via_cost: int = 160) -> None:
         if jog_factor < 1:
             raise ValueError("jog factor below 1 breaks the l1 lower bound")
         if via_cost < 0:
             raise ValueError("via cost must be non-negative")
         self.jog_factor = jog_factor
         self.via_cost = via_cost
-        self._jog_per_layer = dict(jog_factor_per_layer or {})
-        self._via_per_layer = dict(via_cost_per_layer or {})
 
     def jog(self, layer: int, length: int) -> int:
-        return self._jog_per_layer.get(layer, self.jog_factor) * length
+        return self.jog_factor * length
 
     def wire(self, layer: int, length: int) -> int:
         return length
 
     def via(self, via_layer: int) -> int:
-        return self._via_per_layer.get(via_layer, self.via_cost)
+        return self.via_cost
 
     def edge_cost(self, kind: str, layer_or_via: int, length: int) -> int:
         if kind == "wire":
@@ -185,7 +177,7 @@ class FutureCostP:
     Computes exact backward distances from the target set in a
     *supergraph* G' of the search graph: the same track graph and edge
     costs, but with only the *large* blockages kept (obstacles whose
-    smaller dimension is below ``small_blockage_threshold`` are ignored).
+    smaller dimension is below 4 bottom-layer pitches are ignored).
     Every edge of the real search graph exists in G' with equal cost, so
     dist_{G'}(v, T) is a consistent potential with dist_{G'} <= dist_G,
     and by construction pi_P >= pi_H would hold if G' had no extra
@@ -203,16 +195,12 @@ class FutureCostP:
         costs: SearchCosts,
         area: RoutingArea,
         large_blockages: Sequence[Tuple[int, Rect]],
-        small_blockage_threshold: int = 0,
     ) -> None:
         self.graph = graph
         self.pi_h = FutureCostH(graph, targets, costs)
         self.costs = costs
-        if small_blockage_threshold <= 0:
-            stack = graph.stack
-            small_blockage_threshold = 4 * stack[stack.bottom].pitch
         self._blocked = _large_blockage_map(
-            large_blockages, small_blockage_threshold
+            large_blockages, 4 * graph.stack[graph.stack.bottom].pitch
         )
         self._dist: Dict[Vertex, int] = {}
         self._build(targets, area)

@@ -18,7 +18,6 @@ the blockage-grid searches without changing any result.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -104,6 +103,10 @@ class AccessPath:
 class PinAccessPlanner:
     """Catalogue construction + conflict-free selection + reservation."""
 
+    #: Catalogue-memo entry budget; the memo drops its least recently
+    #: used entry beyond it.
+    memo_capacity = 4096
+
     def __init__(
         self,
         space: RoutingSpace,
@@ -112,18 +115,12 @@ class PinAccessPlanner:
         max_endpoints: int = 10,
         max_paths: int = 6,
         fault_injector=None,
-        memo_capacity: Optional[int] = None,
     ) -> None:
         self.space = space
         self.wire_type_name = wire_type_name
         self.radius_pitches = radius_pitches
         self.max_endpoints = max_endpoints
         self.max_paths = max_paths
-        #: Catalogue-memo entry budget (LRU beyond it); defaults to the
-        #: ``REPRO_PINACCESS_MEMO_CAP`` environment variable or 4096.
-        if memo_capacity is None:
-            memo_capacity = int(os.environ.get("REPRO_PINACCESS_MEMO_CAP", "4096"))
-        self.memo_capacity = max(1, memo_capacity)
         #: Optional :class:`repro.flow.faults.FaultInjector` probed at the
         #: "pin_access" site (deterministic fault-injection harness).
         self.fault_injector = fault_injector

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_mod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.droute.connect import ConnectionStats
 from repro.flow.faults import SITE_WORKER
@@ -241,14 +241,6 @@ class PoolSupervisor:
             max_incidents if max_incidents is not None else max(4, 2 * workers)
         )
         self.incidents = 0
-        #: Shard store backing the chip, when the session has one.  The
-        #: router prefetches each round's shards *before* the fork, so
-        #: workers inherit the warm shards copy-on-write instead of each
-        #: re-reading them from disk; the supervisor only reports the
-        #: residency it forked with.
-        self.shard_store = getattr(
-            getattr(router, "session", None), "shard_store", None
-        )
         #: Once true, the router stops dispatching rounds to the pool.
         self.degraded = False
         #: Worker ids are unique across the whole run (not per round):
@@ -313,12 +305,6 @@ class PoolSupervisor:
             region: [net.name for net in nets]
             for region, nets in sorted(by_region.items())
         }
-        if self.shard_store is not None:
-            OBS.flight_note(
-                "pool.shards_resident",
-                round=round_index,
-                resident=self.shard_store.resident_count,
-            )
         outcomes: Dict[int, Optional[Dict[str, object]]] = {}
         retries: Dict[int, int] = {region: 0 for region in region_names}
         result_queue = self._ctx.Queue()

@@ -43,7 +43,6 @@ from repro.flow.resilience import (
     Deadline,
     EscalationRung,
     NetFailure,
-    NetRetryPolicy,
     REASON_EXCEPTION,
     REASON_STAGE_BUDGET,
     REASON_TIMEOUT,
@@ -165,11 +164,9 @@ class DetailedRouter:
         fault_injector=None,
         net_deadline_s: Optional[float] = None,
         stage_budget_s: Optional[float] = None,
-        retry_policy: Optional[NetRetryPolicy] = None,
         session=None,
         workers: int = 1,
         region_timeout_s: Optional[float] = None,
-        round_checkpoint=None,
     ) -> None:
         self.space = space
         self.chip = space.chip
@@ -186,7 +183,7 @@ class DetailedRouter:
         #: Optional callable ``(round_index, result) -> None`` invoked
         #: after each completed partition round; the flow uses it for
         #: round-granular checkpoints.
-        self.round_checkpoint = round_checkpoint
+        self.round_checkpoint = None
         #: Optional :class:`repro.engine.session.RoutingSession`.  When
         #: set, corridors/detours come from the session records, the pin
         #: access planner and reserved access paths persist on the
@@ -212,11 +209,6 @@ class DetailedRouter:
         self.net_deadline_s = net_deadline_s
         self.stage_budget_s = stage_budget_s
         self.ladder: List[EscalationRung] = escalation_ladder(max_retry_rounds)
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else NetRetryPolicy(max_attempts=len(self.ladder))
-        )
         if session is not None and session.planner is not None:
             self.planner = session.planner
         else:
@@ -398,7 +390,6 @@ class DetailedRouter:
             for region, net in ordered:
                 by_region.setdefault(region, []).append(net)
             budget_left = stage_deadline is None or not stage_deadline.expired
-            self._prefetch_shards(sequence[round_index], by_region)
             if (
                 supervisor is not None
                 and not supervisor.degraded
@@ -512,7 +503,6 @@ class DetailedRouter:
                 continue
             if attempt > 0:
                 result.retries += 1
-                self.retry_policy.backoff(attempt)
             rung = self._rung_for(attempt)
             escalated = attempt >= len(self.ladder) - 2 and rung.name != "baseline"
             if escalated:
@@ -586,9 +576,7 @@ class DetailedRouter:
                 else:
                     failure_reason = REASON_UNROUTABLE
             next_attempt = attempt + 1
-            if next_attempt < len(self.ladder) and self.retry_policy.allows(
-                next_attempt
-            ):
+            if next_attempt < len(self.ladder):
                 deferred.append((net, next_attempt))
             else:
                 opens = (
@@ -622,23 +610,6 @@ class DetailedRouter:
         return pool_mod.PoolSupervisor(
             self, result, workers=self.workers, region_timeout_s=self.region_timeout_s
         )
-
-    def _prefetch_shards(self, partition_round, by_region: Dict[int, List[Net]]) -> None:
-        """Warm the session's shard store for this round's active regions.
-
-        A bounded-residency :class:`repro.io.shards.ShardStore` evicts
-        least-recently-used shards; touching each active region's shards
-        up front keeps the round's geometry sources resident while it
-        runs.  Purely a cache hint — routing reads only the already
-        constructed in-memory space, so this never affects results.
-        """
-        session = self.session
-        store = getattr(session, "shard_store", None) if session is not None else None
-        if store is None or not by_region:
-            return
-        for region_index in sorted(by_region):
-            if 0 <= region_index < len(partition_round.regions):
-                store.prefetch(partition_round.regions[region_index])
 
     def _merge_outcomes(
         self,

@@ -9,8 +9,7 @@ wires and vias with consistent fast-grid invalidation.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.chip.design import Chip
 from repro.obs import OBS
@@ -19,7 +18,7 @@ from repro.geometry.rect import Rect
 from repro.grid.drc_query import DistanceRuleChecker, PlacementCheck
 from repro.grid.fastgrid import FastGrid, IntervalCache
 from repro.grid.shapegrid import RIPUP_FIXED, RipupLevel, ShapeGrid
-from repro.grid.trackgraph import TrackGraph, Vertex
+from repro.grid.trackgraph import TrackGraph
 from repro.grid.tracks import TrackPlan, build_track_plan
 from repro.tech.wiring import ShapeKind, StickFigure, WireType
 
@@ -57,18 +56,8 @@ class RoutingSpace:
         chip: Chip,
         track_plan: Optional[TrackPlan] = None,
         fast_grid_enabled: bool = True,
-        lazy_fixed: Optional[bool] = None,
     ) -> None:
         self.chip = chip
-        #: Lazy fixed geometry (default on; ``REPRO_LAZY_ROWS=0``
-        #: disables): blockages and pin shapes are registered with the
-        #: shape grid but only folded into a row's interval tree when
-        #: something first touches that row, so untouched die area costs
-        #: no interval memory.  Query results are identical either way
-        #: (cell configurations are multisets), so routing is too.
-        if lazy_fixed is None:
-            lazy_fixed = os.environ.get("REPRO_LAZY_ROWS", "1") != "0"
-        self.lazy_fixed = lazy_fixed
         self.shape_grid = ShapeGrid(chip.die, chip.stack)
         self.checker = DistanceRuleChecker(self.shape_grid, chip.stack, chip.rules)
         self.track_plan = track_plan if track_plan is not None else build_track_plan(chip)
@@ -91,16 +80,14 @@ class RoutingSpace:
     # Fixed geometry
     # ------------------------------------------------------------------
     def _load_fixed_geometry(self) -> None:
-        add = (
-            self.shape_grid.add_fixed_shape
-            if self.lazy_fixed
-            else self.shape_grid.add_shape
-        )
+        """Register blockages and pin shapes lazily: a row folds them into
+        its interval tree only when something first touches it, so
+        untouched die area costs no interval memory."""
         registered = 0
         for layer, rect, _owner in self.chip.obstruction_shapes():
             if not self.chip.stack.has_layer(layer):
                 continue
-            add(
+            self.shape_grid.add_fixed_shape(
                 "wiring", layer, rect, None, "blockage", ShapeKind.BLOCKAGE,
                 RIPUP_FIXED, min(rect.width, rect.height),
             )
@@ -110,7 +97,7 @@ class RoutingSpace:
                 for layer, rect in pin.shapes:
                     if not self.chip.stack.has_layer(layer):
                         continue
-                    add(
+                    self.shape_grid.add_fixed_shape(
                         "wiring", layer, rect, net.name, "pin", ShapeKind.PIN,
                         RIPUP_FIXED, min(rect.width, rect.height),
                     )

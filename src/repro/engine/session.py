@@ -155,18 +155,11 @@ class RoutingSession:
         threads: int = 4,
         seed: Optional[int] = None,
         corridor_margin_tiles: int = 1,
-        eco_phases: Optional[int] = None,
         track_plan: Optional[TrackPlan] = None,
         workers: int = 1,
         region_timeout_s: Optional[float] = None,
-        shard_store=None,
     ) -> None:
         self.chip = chip
-        #: Optional :class:`repro.io.shards.ShardStore` backing this
-        #: chip.  When set, the detailed router prefetches the shards
-        #: overlapping each partition region before routing it, so a
-        #: bounded-residency store has the right shards warm.
-        self.shard_store = shard_store
         self.plan = track_plan if track_plan is not None else build_track_plan(chip)
         self.space = RoutingSpace(chip, track_plan=self.plan)
         self.gr_phases = gr_phases
@@ -181,9 +174,7 @@ class RoutingSession:
         #: Sharing phases per ECO pass: warm-started prices converge much
         #: faster than a cold solve, so a fraction of the full phase
         #: count suffices (Sec. 2.3's reuse argument applied to ECOs).
-        self.eco_phases = (
-            eco_phases if eco_phases is not None else max(4, gr_phases // 3)
-        )
+        self.eco_phases = max(4, gr_phases // 3)
         self.records: Dict[str, NetRecord] = {
             net.name: NetRecord(net.name) for net in chip.nets
         }

@@ -6,8 +6,8 @@
   detailed routing, then the local DRC cleanup;
 * :mod:`repro.flow.isr_flow` - the plain "ISR" flow: negotiation global
   routing, track assignment + maze detailed routing, cleanup;
-* :mod:`repro.flow.resilience` - deadlines, retry policies, the
-  escalation ladder and structured failure reports;
+* :mod:`repro.flow.resilience` - deadlines, the escalation ladder and
+  structured failure reports;
 * :mod:`repro.flow.faults` - deterministic seeded fault injection.
 
 Attributes are resolved lazily (PEP 562): the low-level routers import
@@ -26,7 +26,6 @@ _EXPORTS: Dict[str, Tuple[str, str]] = {
     "IsrFlow": ("repro.flow.isr_flow", "IsrFlow"),
     "Deadline": ("repro.flow.resilience", "Deadline"),
     "DeadlineExceeded": ("repro.flow.resilience", "DeadlineExceeded"),
-    "NetRetryPolicy": ("repro.flow.resilience", "NetRetryPolicy"),
     "NetFailure": ("repro.flow.resilience", "NetFailure"),
     "FlowFailureReport": ("repro.flow.resilience", "FlowFailureReport"),
     "escalation_ladder": ("repro.flow.resilience", "escalation_ladder"),

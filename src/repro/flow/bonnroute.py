@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.baseline.cleanup import CleanupReport, DrcCleanup
 from repro.chip.design import Chip
-from repro.chip.net import Net
 from repro.droute.route import NetRoute
 from repro.droute.router import DetailedRouter, DetailedRoutingResult
 from repro.droute.space import RoutingSpace
@@ -90,13 +89,8 @@ class BonnRouteFlow:
         session=None,
         workers: int = 1,
         region_timeout_s: Optional[float] = None,
-        shard_store=None,
     ) -> None:
         self.chip = chip
-        #: Optional shard store backing ``chip`` (see repro.io.shards);
-        #: forwarded to the session so partition rounds can prefetch the
-        #: shards each region needs.
-        self.shard_store = shard_store
         #: The engine session this flow writes into.  Created lazily in
         #: :meth:`_run_impl` when none is given; pass one to route into
         #: existing session state (e.g. from
@@ -406,7 +400,6 @@ class BonnRouteFlow:
                 threads=self.threads,
                 seed=self.seed,
                 corridor_margin_tiles=self.corridor_margin_tiles,
-                shard_store=self.shard_store,
                 **self._pool_settings,
             )
         session = self.session

@@ -7,8 +7,6 @@ isolate and degrade instead of crashing:
 
 * :class:`Deadline` — soft per-net deadlines (checked inside the path
   search loop) and hard per-stage wall-clock budgets;
-* :class:`NetRetryPolicy` — bounded retries with deterministic seeded
-  backoff/jitter (via :func:`repro.util.rng.make_rng`);
 * the **escalation ladder** — on failure of a net, retry with
   (a) an expanded corridor margin, (b) off-track access enabled and the
   corridor dropped, (c) the ISR-baseline node search as a fallback
@@ -29,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.grid.shapegrid import RipupLevel
 from repro.obs import OBS
-from repro.util.rng import make_rng
 
 
 class DeadlineExceeded(Exception):
@@ -109,56 +106,6 @@ class Deadline:
                 best = deadline
                 best_remaining = remaining
         return best
-
-
-class NetRetryPolicy:
-    """Bounded retries with deterministic seeded backoff and jitter.
-
-    ``base_delay_s == 0`` (the default) keeps the policy purely logical:
-    attempts are still bounded and jitters are still computed (and
-    recorded, so tests can assert the schedule), but no wall-clock time
-    is spent sleeping.  Delays grow exponentially with the attempt index
-    and carry a multiplicative jitter in ``[0.5, 1.5)`` drawn from a
-    seeded RNG, so two runs with the same seed sleep identically.
-    """
-
-    def __init__(
-        self,
-        max_attempts: int = 8,
-        base_delay_s: float = 0.0,
-        max_delay_s: float = 2.0,
-        seed: Optional[int] = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        self.max_attempts = max_attempts
-        self.base_delay_s = base_delay_s
-        self.max_delay_s = max_delay_s
-        self._rng = make_rng(seed)
-        self._sleep = sleep
-        #: Delays actually applied, for reporting/testing.
-        self.applied_delays: List[float] = []
-
-    def allows(self, attempt: int) -> bool:
-        """May attempt number ``attempt`` (0-based) still run?"""
-        return attempt < self.max_attempts
-
-    def delay_for(self, attempt: int) -> float:
-        """Deterministic backoff delay before retry number ``attempt``."""
-        jitter = 0.5 + self._rng.random()
-        delay = self.base_delay_s * (2.0 ** max(attempt - 1, 0)) * jitter
-        return min(delay, self.max_delay_s)
-
-    def backoff(self, attempt: int) -> float:
-        """Sleep (if configured) before retry ``attempt``; returns the delay."""
-        delay = self.delay_for(attempt)
-        self.applied_delays.append(delay)
-        if OBS.enabled:
-            OBS.event("resilience.backoff", attempt=attempt, delay_s=delay)
-        if delay > 0.0:
-            self._sleep(delay)
-        return delay
 
 
 # ----------------------------------------------------------------------

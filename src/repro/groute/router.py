@@ -132,8 +132,6 @@ class GlobalRouter:
         optimize_spacing: bool = True,
         seed: Optional[int] = None,
         track_plan: Optional[TrackPlan] = None,
-        intra_tile_reduction: bool = True,
-        stacked_via_reduction: bool = True,
         capacity_scale: float = 1.0,
         extra_obstacles=None,
         fault_injector=None,
@@ -155,10 +153,9 @@ class GlobalRouter:
             # sparse; scaling capacities reproduces the congestion regime.
             for edge in list(self.graph.capacities):
                 self.graph.capacities[edge] *= capacity_scale
-        if intra_tile_reduction:
-            apply_intra_tile_reduction(self.graph, chip.nets, steiner_length)
-        if stacked_via_reduction:
-            apply_stacked_via_reduction(self.graph)
+        # Both capacity reductions of Sec. 2.1.
+        apply_intra_tile_reduction(self.graph, chip.nets, steiner_length)
+        apply_stacked_via_reduction(self.graph)
         self.model = ResourceModel(
             self.graph, chip.nets, optimize_spacing=optimize_spacing,
         )

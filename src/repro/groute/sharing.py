@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.chip.net import Net
 from repro.groute.graph import Edge, GlobalRoutingGraph
-from repro.groute.resources import GLOBAL_RESOURCES, ResourceModel, SpacingMemo
+from repro.groute.resources import ResourceModel, SpacingMemo
 from repro.obs import OBS
 from repro.groute.steiner_oracle import (
     Adjacency,
@@ -80,7 +80,6 @@ class ResourceSharingSolver:
         phases: int = 125,
         epsilon: float = 1.0,
         reuse_threshold: float = 1.5,
-        potential_scale: float = 0.0,
         use_landmarks: bool = False,
         landmark_count: int = 4,
         fault_injector=None,
@@ -96,7 +95,6 @@ class ResourceSharingSolver:
         #: Reuse the previous solution while its current-price cost is
         #: below reuse_threshold x its cost when it was computed.
         self.reuse_threshold = reuse_threshold
-        self.potential_scale = potential_scale
         # Goal orientation with landmarks (Sec. 2.2): ALT potentials under
         # the unpriced length metric, scaled by the minimum per-length
         # price (y_wirelength >= 1 throughout Algorithm 2) to stay
@@ -255,7 +253,6 @@ class ResourceSharingSolver:
                             net.name,
                             terminals[net.name],
                             edge_cost,
-                            self.potential_scale,
                             potential_factory=potential_factory,
                             adjacency=adjacency,
                         )
@@ -435,7 +432,6 @@ def solve_parallel_simulated(
                 start = time.time()
                 result = path_composition_steiner_tree(
                     graph, net.name, terminals[net.name], edge_cost,
-                    solver.potential_scale,
                     potential_factory=potential_factory,
                     adjacency=adjacency,
                 )

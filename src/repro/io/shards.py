@@ -22,10 +22,9 @@ region, not the instance.
 from __future__ import annotations
 
 import json
-import os
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.chip.design import Blockage, Chip
 from repro.chip.net import Net, Pin
@@ -41,9 +40,6 @@ from repro.tech.stacks import (
 #: Schema of ``manifest.json``.
 MANIFEST_SCHEMA = "repro-chip-shards"
 MANIFEST_VERSION = 1
-
-#: Default resident-shard budget of a :class:`ShardStore`.
-DEFAULT_MAX_RESIDENT = 16
 
 #: Die halo around a region box when routing one shard standalone, in
 #: thin-layer pitches (room for access paths and detours at the border).
@@ -255,14 +251,11 @@ class ShardWriter:
 class ShardStore:
     """Lazy, LRU-bounded access to a sharded instance on disk."""
 
-    def __init__(
-        self, manifest_path: str, max_resident: Optional[int] = None
-    ) -> None:
-        if max_resident is None:
-            max_resident = int(
-                os.environ.get("REPRO_SHARD_CACHE", str(DEFAULT_MAX_RESIDENT))
-            )
-        self.max_resident = max(1, max_resident)
+    #: Resident-shard budget; the least recently used shard is dropped
+    #: beyond it.
+    max_resident = 16
+
+    def __init__(self, manifest_path: str) -> None:
         self.manifest_path = Path(manifest_path)
         if self.manifest_path.is_dir():
             self.manifest_path = self.manifest_path / "manifest.json"
@@ -341,20 +334,6 @@ class ShardStore:
             OBS.gauge("shards.resident", len(self._resident))
         return data
 
-    def shards_for_box(self, box: Rect) -> List[int]:
-        """Indices of shards whose region box intersects ``box``."""
-        return [
-            index for index, shard_box in enumerate(self._boxes)
-            if shard_box.intersects(box)
-        ]
-
-    def prefetch(self, box: Rect) -> List[int]:
-        """Make the shards a region needs resident; returns their indices."""
-        indices = self.shards_for_box(box)
-        for index in indices:
-            self.shard(index)
-        return indices
-
     # ------------------------------------------------------------------
     # Chip reconstruction
     # ------------------------------------------------------------------
@@ -380,15 +359,13 @@ class ShardStore:
             circuits=[], nets=nets, blockages=blockages,
         )
 
-    def chip_for_region(
-        self, index: int, halo_pitches: int = REGION_HALO_PITCHES
-    ) -> Chip:
+    def chip_for_region(self, index: int) -> Chip:
         """A standalone chip for one region: its die is the region box
         plus a routing halo, so the routing space (track plan, grids,
         fast grid) is sized by the region — peak RSS is bounded by the
         shard, not the instance."""
         data = self.shard(index)
-        halo = halo_pitches * THIN_PITCH
+        halo = REGION_HALO_PITCHES * THIN_PITCH
         die = Rect(
             max(self.die.x_lo, data.box.x_lo - halo),
             max(self.die.y_lo, data.box.y_lo - halo),

@@ -1,8 +1,9 @@
 """Memory-bounded routing spaces: lazy fixed rows, LRU pin-access memo.
 
-Laziness and eviction are *capacity* knobs, never *result* knobs: the
-tests here pin that down by comparing wiring and shape-grid content
-across lazy/eager spaces and across memo-capacity extremes.
+Laziness and eviction bound memory, never results: the tests here pin
+that down by comparing the lazy space's shape-grid content with a grid
+that registers the same fixed shapes eagerly, and wiring across
+memo-capacity extremes.
 """
 
 import pytest
@@ -12,6 +13,8 @@ from repro.chip.generator import ChipSpec, generate_chip
 from repro.droute.pinaccess import PinAccessPlanner
 from repro.droute.space import RoutingSpace
 from repro.geometry.rect import Rect
+from repro.grid.shapegrid import RIPUP_FIXED, ShapeGrid
+from repro.tech.wiring import ShapeKind
 from repro.util.rng import make_rng
 
 
@@ -41,25 +44,46 @@ def canonical_paths(paths):
     ]
 
 
+def eager_fixed_grid(chip):
+    """A shape grid holding the chip's fixed geometry, registered with
+    ``add_shape`` in the order the routing space registers it lazily."""
+    grid = ShapeGrid(chip.die, chip.stack)
+    for layer, rect, _owner in chip.obstruction_shapes():
+        if chip.stack.has_layer(layer):
+            grid.add_shape(
+                "wiring", layer, rect, None, "blockage", ShapeKind.BLOCKAGE,
+                RIPUP_FIXED, min(rect.width, rect.height),
+            )
+    for net in chip.nets:
+        for pin in net.pins:
+            for layer, rect in pin.shapes:
+                if chip.stack.has_layer(layer):
+                    grid.add_shape(
+                        "wiring", layer, rect, net.name, "pin", ShapeKind.PIN,
+                        RIPUP_FIXED, min(rect.width, rect.height),
+                    )
+    return grid
+
+
 class TestLazyFixedRows:
     def test_lazy_space_defers_fixed_geometry(self):
         chip = generate_chip(QUICK_SPEC)
-        lazy = RoutingSpace(chip, lazy_fixed=True)
+        lazy = RoutingSpace(chip)
         assert lazy.shape_grid.pending_fixed_count() > 0
         assert lazy.shape_grid.materialized_row_count() == 0
 
     def test_lazy_queries_match_eager(self):
         chip = generate_chip(QUICK_SPEC)
-        lazy = RoutingSpace(chip, lazy_fixed=True)
-        eager = RoutingSpace(chip, lazy_fixed=False)
-        assert eager.shape_grid.pending_fixed_count() == 0
+        lazy = RoutingSpace(chip)
+        eager = eager_fixed_grid(chip)
+        assert eager.pending_fixed_count() == 0
         rng = make_rng(17)
         die = chip.die
         for _ in range(100):
             x = rng.randrange(die.x_lo, die.x_hi - 200)
             y = rng.randrange(die.y_lo, die.y_hi - 200)
             window = Rect(x, y, x + rng.randrange(40, 1200), y + rng.randrange(40, 1200))
-            def entries(space, kind, layer):
+            def entries(grid, kind, layer):
                 return [
                     (
                         e.rect,
@@ -69,36 +93,31 @@ class TestLazyFixedRows:
                         e.ripup_level,
                         e.rule_width,
                     )
-                    for e in space.shape_grid.query(kind, layer, window)
+                    for e in grid.query(kind, layer, window)
                 ]
 
-            for kind, layer in sorted(eager.shape_grid._grids):
+            for kind, layer in sorted(eager._grids):
                 # Ordered comparison on purpose: downstream consumers
                 # (DRC sweeps, access-path tie-breaks) see the query
                 # *stream*, so lazy materialization must reproduce the
                 # eager yield order exactly, not just the same set.
-                assert entries(lazy, kind, layer) == entries(eager, kind, layer)
+                assert entries(lazy.shape_grid, kind, layer) == entries(
+                    eager, kind, layer
+                )
         assert lazy.shape_grid.materialized_row_count() > 0
 
     def test_full_materialization_matches_interval_counts(self):
         chip = generate_chip(QUICK_SPEC)
-        lazy = RoutingSpace(chip, lazy_fixed=True)
-        eager = RoutingSpace(chip, lazy_fixed=False)
+        lazy = RoutingSpace(chip)
+        eager = eager_fixed_grid(chip)
         die = chip.die
-        for kind, layer in sorted(eager.shape_grid._grids):
+        for kind, layer in sorted(eager._grids):
             lazy.shape_grid.query(kind, layer, die)
-        for kind, layer in sorted(eager.shape_grid._grids):
+        for kind, layer in sorted(eager._grids):
             assert lazy.shape_grid.interval_count(kind, layer) == (
-                eager.shape_grid.interval_count(kind, layer)
+                eager.interval_count(kind, layer)
             )
         assert lazy.shape_grid.pending_fixed_count() == 0
-
-    def test_env_var_controls_default(self, monkeypatch):
-        chip = generate_chip(QUICK_SPEC)
-        monkeypatch.setenv("REPRO_LAZY_ROWS", "0")
-        assert RoutingSpace(chip).lazy_fixed is False
-        monkeypatch.setenv("REPRO_LAZY_ROWS", "1")
-        assert RoutingSpace(chip).lazy_fixed is True
 
 
 class TestRoutingBitIdentity:
@@ -108,27 +127,20 @@ class TestRoutingBitIdentity:
             ChipSpec("memroute", rows=2, row_width_cells=4, net_count=6, seed=7)
         )
 
-    def _route(self, chip, monkeypatch, lazy_env, memo_cap=None):
+    def _route(self, chip):
         from repro.flow.bonnroute import BonnRouteFlow
 
-        monkeypatch.setenv("REPRO_LAZY_ROWS", lazy_env)
-        if memo_cap is not None:
-            monkeypatch.setenv("REPRO_PINACCESS_MEMO_CAP", str(memo_cap))
         result = BonnRouteFlow(chip, gr_phases=6, seed=1).run()
         return canonical_routes(result.space.routes)
-
-    def test_lazy_rows_do_not_change_wiring(self, chip, monkeypatch):
-        lazy = self._route(chip, monkeypatch, "1")
-        eager = self._route(chip, monkeypatch, "0")
-        assert lazy == eager
 
     def test_memo_eviction_pressure_does_not_change_wiring(
         self, chip, monkeypatch
     ):
-        relaxed = self._route(chip, monkeypatch, "1")
+        relaxed = self._route(chip)
         # Capacity 1 forces an eviction on virtually every catalogue
         # store: the cold, warm and thrashing paths must agree.
-        pressured = self._route(chip, monkeypatch, "1", memo_cap=1)
+        monkeypatch.setattr(PinAccessPlanner, "memo_capacity", 1)
+        pressured = self._route(chip)
         assert relaxed == pressured
 
 
@@ -138,14 +150,16 @@ class TestPinAccessMemoLru:
         return RoutingSpace(generate_chip(QUICK_SPEC))
 
     def test_capacity_bounds_memo(self, space):
-        planner = PinAccessPlanner(space, memo_capacity=1)
+        planner = PinAccessPlanner(space)
+        planner.memo_capacity = 1
         pins = [net.pins[0] for net in space.chip.nets[:3]]
         for pin in pins:
             planner.build_catalogue(pin)
             assert len(planner._catalogue_memo) <= 1
 
     def test_eviction_rebuild_is_identical(self, space):
-        planner = PinAccessPlanner(space, memo_capacity=1)
+        planner = PinAccessPlanner(space)
+        planner.memo_capacity = 1
         pin_a = space.chip.nets[0].pins[0]
         pin_b = space.chip.nets[1].pins[0]
         cold = canonical_paths(planner.build_catalogue(pin_a))
@@ -159,11 +173,6 @@ class TestPinAccessMemoLru:
         cold = canonical_paths(planner.build_catalogue(pin))
         warm = canonical_paths(planner.build_catalogue(pin))
         assert warm == cold
-
-    def test_env_var_controls_capacity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PINACCESS_MEMO_CAP", "17")
-        space = RoutingSpace(generate_chip(QUICK_SPEC))
-        assert PinAccessPlanner(space).memo_capacity == 17
 
 
 class TestLibraryInterning:

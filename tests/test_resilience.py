@@ -18,9 +18,7 @@ from repro.flow.faults import FaultPlan, FaultSpec
 from repro.flow.resilience import (
     Deadline,
     DeadlineExceeded,
-    EscalationRung,
     NetFailure,
-    NetRetryPolicy,
     FlowFailureReport,
     REASON_EXCEPTION,
     REASON_RETRIES_EXHAUSTED,
@@ -61,32 +59,6 @@ class TestDeadline:
         assert Deadline.soonest(long, short) is short
         assert Deadline.soonest(None, long) is long
         assert Deadline.soonest(None, Deadline(None)) is None
-
-
-class TestRetryPolicy:
-    def test_bounded_attempts(self):
-        policy = NetRetryPolicy(max_attempts=3)
-        assert policy.allows(0) and policy.allows(2)
-        assert not policy.allows(3)
-
-    def test_deterministic_jitter(self):
-        a = NetRetryPolicy(max_attempts=5, base_delay_s=0.01, seed=9,
-                           sleep=lambda _s: None)
-        b = NetRetryPolicy(max_attempts=5, base_delay_s=0.01, seed=9,
-                           sleep=lambda _s: None)
-        delays_a = [a.backoff(i) for i in range(1, 5)]
-        delays_b = [b.backoff(i) for i in range(1, 5)]
-        assert delays_a == delays_b
-        assert a.applied_delays == delays_a
-
-    def test_zero_base_delay_never_sleeps(self):
-        slept = []
-        policy = NetRetryPolicy(max_attempts=4, base_delay_s=0.0,
-                                sleep=slept.append)
-        policy.backoff(1)
-        policy.backoff(2)
-        assert slept == []
-        assert policy.applied_delays == [0.0, 0.0]
 
 
 class TestEscalationLadder:

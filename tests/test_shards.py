@@ -128,7 +128,8 @@ class TestShardLoadingOrder:
 class TestShardStore:
     def test_lru_eviction_bounds_residency(self, tmp_path, small_spec, small_plan):
         manifest = stream_chip_shards(small_spec, str(tmp_path), small_plan)
-        store = ShardStore(manifest, max_resident=2)
+        store = ShardStore(manifest)
+        store.max_resident = 2
         for index in range(len(store)):
             store.shard(index)
             assert store.resident_count <= 2
@@ -151,16 +152,6 @@ class TestShardStore:
         for blockage in chip.blockages:
             assert blockage.rect.intersection(chip.die) is not None
 
-    def test_prefetch_touches_overlapping_shards(
-        self, tmp_path, small_spec, small_plan
-    ):
-        manifest = stream_chip_shards(small_spec, str(tmp_path), small_plan)
-        store = ShardStore(manifest)
-        box = store.shard_box(0)
-        indices = store.prefetch(box)
-        assert 0 in indices
-        assert store.resident_count >= 1
-
     def test_store_accepts_directory(self, tmp_path, small_spec, small_plan):
         stream_chip_shards(small_spec, str(tmp_path), small_plan)
         store = ShardStore(str(tmp_path))
@@ -176,6 +167,35 @@ class TestShardStore:
     def test_bad_shard_line_rejected(self):
         with pytest.raises(ShardFormatError):
             load_shard("SHARD 0 BOX 0 0 10 10\nWAT 1 2 3\nEND\n")
+
+
+class TestShardRegionRoute:
+    def test_route_reads_only_its_shard(self, tmp_path, monkeypatch, capsys):
+        """``route --shard-region`` parses the region's own shard and no
+        other: routing reads only the routing space built from it."""
+        from repro.__main__ import main
+
+        shard_dir = str(tmp_path / "shards")
+        assert main([
+            "chipgen", shard_dir, "--rows", "8", "--cols", "32",
+            "--nets", "128", "--seed", "5",
+            "--rows-per-region", "2", "--cols-per-region", "8",
+        ]) == 0
+        read = set()
+        original = ShardStore.shard
+
+        def spy(store, index):
+            read.add(index)
+            return original(store, index)
+
+        monkeypatch.setattr(ShardStore, "shard", spy)
+        code = main([
+            "route", shard_dir + "/manifest.json", str(tmp_path / "routes.txt"),
+            "--shard-region", "0", "--seed", "1",
+        ])
+        capsys.readouterr()
+        assert code == 0
+        assert read == {0}
 
 
 class TestSpecValidation:
