@@ -7,7 +7,10 @@ sorted wires and vias plus the failed set, ``retries`` and
 * the serial :class:`DetailedRouter` on the ``pooltest`` chip, chip
   seeds 11, 41 and 5;
 * the ISR baseline flow (:class:`IsrFlow`) on the same chips;
-* a :class:`BonnRouteFlow` run on the seed-11 chip.
+* a :class:`BonnRouteFlow` run on the seed-11 chip, without and with
+  DRC cleanup; the cleanup run also pins the :class:`CleanupReport`
+  counts, so the window-restricted pi_GR reroutes of ``DrcCleanup`` are
+  covered.
 
 The digests do not depend on ``PYTHONHASHSEED``.  Regenerate the file
 (only when a results change is intended) with::
@@ -80,11 +83,23 @@ def run_bonnroute(seed):
     return _record(result.space, result.detailed_result)
 
 
+def run_bonnroute_cleanup(seed):
+    result = BonnRouteFlow(
+        pooltest_chip(seed), gr_phases=4, seed=1, cleanup=True
+    ).run()
+    record = _record(result.space, result.detailed_result)
+    summary = result.cleanup_report.summary()
+    del summary["runtime"]
+    record["cleanup"] = summary
+    return record
+
+
 #: Entry name -> (run producing its record, chip seed).
 RUNS = dict(
     [(f"detailed_{s}", (run_detailed, s)) for s in CHIP_SEEDS]
     + [(f"isr_{s}", (run_isr, s)) for s in CHIP_SEEDS]
     + [("bonnroute_11", (run_bonnroute, 11))]
+    + [("bonnroute_cleanup_11", (run_bonnroute_cleanup, 11))]
 )
 
 
