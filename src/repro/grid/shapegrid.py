@@ -324,9 +324,18 @@ class _LayerGrid:
             self._set_range(row_index, col_lo, col_hi, mapper)
 
     def query(self, rect: Rect) -> Iterator[ShapeEntry]:
-        """Shape pieces intersecting ``rect`` (deduplicated)."""
+        """Shape pieces intersecting ``rect`` (deduplicated).
+
+        The closed-rectangle test runs on integers; a ``Rect`` and a
+        ``ShapeEntry`` are built only for the pieces yielded.
+        """
         row_lo, row_hi, col_lo, col_hi = self._covered_cells(rect)
         self._ensure_rows(row_lo, row_hi)
+        q_x_lo, q_y_lo, q_x_hi, q_y_hi = rect.x_lo, rect.y_lo, rect.x_hi, rect.y_hi
+        size = self.cell_size
+        origin_x, origin_y = self.origin_x, self.origin_y
+        pref_is_x = self.pref_is_x
+        shapes_of = self.table.shapes
         seen = set()
         for row_index in range(row_lo, row_hi + 1):
             row = self.rows.get(row_index)
@@ -335,19 +344,25 @@ class _LayerGrid:
             item = row.floor_item(col_lo)
             start_key = item[0] if item is not None and item[1][0] >= col_lo else col_lo
             for start, (end, config_id) in row.items(lo=start_key, hi=col_hi):
+                shapes = tuple(shapes_of(config_id))
                 for col in range(max(start, col_lo), min(end, col_hi) + 1):
-                    ax, ay = self._cell_anchor(row_index, col)
-                    for shape in self.table.shapes(config_id):
-                        absolute = Rect(
-                            shape.x_lo + ax,
-                            shape.y_lo + ay,
-                            shape.x_hi + ax,
-                            shape.y_hi + ay,
-                        )
-                        if not absolute.intersects(rect):
+                    if pref_is_x:
+                        ax = origin_x + col * size
+                        ay = origin_y + row_index * size
+                    else:
+                        ax = origin_x + row_index * size
+                        ay = origin_y + col * size
+                    for shape in shapes:
+                        x_lo = shape.x_lo + ax
+                        x_hi = shape.x_hi + ax
+                        if x_lo > q_x_hi or q_x_lo > x_hi:
+                            continue
+                        y_lo = shape.y_lo + ay
+                        y_hi = shape.y_hi + ay
+                        if y_lo > q_y_hi or q_y_lo > y_hi:
                             continue
                         key = (
-                            absolute.as_tuple(),
+                            (x_lo, y_lo, x_hi, y_hi),
                             shape.net,
                             shape.class_name,
                             shape.shape_kind,
@@ -356,7 +371,7 @@ class _LayerGrid:
                             continue
                         seen.add(key)
                         yield ShapeEntry(
-                            absolute,
+                            Rect(x_lo, y_lo, x_hi, y_hi),
                             shape.net,
                             shape.class_name,
                             shape.shape_kind,

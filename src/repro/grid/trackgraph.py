@@ -50,6 +50,20 @@ class TrackGraph:
             z: {coord: i for i, coord in enumerate(self.crosses[z])}
             for z in stack.indices
         }
+        # Via partner tables: (z, z +- 1) -> (t_of_c, c_of_t).  Adjacent
+        # layers are orthogonal, so the partner of (z, t, c) is
+        # (z +- 1, t_of_c[c], c_of_t[t]); None marks a coordinate with no
+        # track or cross on the other layer.
+        self.via_tables: Dict[
+            Tuple[int, int], Tuple[List[Optional[int]], List[Optional[int]]]
+        ] = {}
+        for z in stack.indices:
+            for other in (z - 1, z + 1):
+                if stack.has_layer(other):
+                    self.via_tables[(z, other)] = (
+                        [self._track_index[other].get(x) for x in self.crosses[z]],
+                        [self._cross_index[other].get(x) for x in self.tracks[z]],
+                    )
 
     # ------------------------------------------------------------------
     # Coordinates
@@ -110,11 +124,17 @@ class TrackGraph:
                 yield (via, "via", 0)
 
     def via_partner(self, vertex: Vertex, other_layer: int) -> Optional[Vertex]:
-        """The vertex straight above/below on ``other_layer``, if any."""
-        if not self.stack.has_layer(other_layer):
+        """The vertex straight above/below on the adjacent ``other_layer``,
+        if any."""
+        z, t, c = vertex
+        tables = self.via_tables.get((z, other_layer))
+        if tables is None:
             return None
-        x, y, _z = self.position(vertex)
-        return self.vertex_at(x, y, other_layer)
+        pt = tables[0][c]
+        pc = tables[1][t]
+        if pt is None or pc is None:
+            return None
+        return (other_layer, pt, pc)
 
     # ------------------------------------------------------------------
     # Locating vertices near geometry (for S/T construction)

@@ -4,12 +4,16 @@ The central invariant: the interval-based search returns exactly the
 node-based Dijkstra's optimal costs, with far fewer heap pops.
 
 ``pathsearch_golden.json`` pins the exact ``(cost, vertices)`` of 285
-seeded searches (see :class:`TestKernelEquivalence`).  Regenerate it
+seeded searches (see :class:`TestKernelEquivalence`).
+:class:`TestFlatSweepMatchesReference` holds pi_GR's flat backward
+sweep and pi_H's flat query to reference copies of the vertex Dijkstra
+and the rectangle-based l1 bound they replaced.  Regenerate it
 (only when a results change is intended) with::
 
     PYTHONPATH=src python tests/test_pathsearch.py
 """
 
+import heapq
 import json
 import os
 import random
@@ -507,6 +511,224 @@ class TestFutureCosts:
         assert (r_h is None) == (r_p is None)
         if r_h is not None:
             assert r_h.cost == r_p.cost
+
+
+def _coordinate_neighbours(graph, vertex):
+    """(neighbour, kind, length) with via partners found by coordinates."""
+    z, t, c = vertex
+    crosses, tracks = graph.crosses[z], graph.tracks[z]
+    if c > 0:
+        yield (z, t, c - 1), "wire", crosses[c] - crosses[c - 1]
+    if c + 1 < len(crosses):
+        yield (z, t, c + 1), "wire", crosses[c + 1] - crosses[c]
+    if t > 0:
+        yield (z, t - 1, c), "jog", tracks[t] - tracks[t - 1]
+    if t + 1 < len(tracks):
+        yield (z, t + 1, c), "jog", tracks[t + 1] - tracks[t]
+    x, y, _z = graph.position(vertex)
+    for other in (z - 1, z + 1):
+        if graph.stack.has_layer(other):
+            partner = graph.vertex_at(x, y, other)
+            if partner is not None:
+                yield partner, "via", 0
+
+
+def _reference_pi_h(graph, targets, costs):
+    """pi_H through physical positions and ``Rect`` l1 distances."""
+    pi_h = FutureCostH(graph, targets, costs)
+
+    def pi(vertex):
+        x, y, z = graph.position(vertex)
+        wire = min(
+            max(r.x_lo - x, 0, x - r.x_hi) + max(r.y_lo - y, 0, y - r.y_hi)
+            for r in pi_h.target_rects
+        )
+        return wire + pi_h._lb_via[z]
+
+    return pi
+
+
+def _reference_pi_gr(graph, targets, costs, view, stop_vertices=()):
+    """pi_GR as the neighbour-by-neighbour vertex Dijkstra computes it.
+
+    String-dispatched edge costs, one ``interval_at`` per neighbour, a
+    settled set at truncation and ``max(pi_H, d)`` on every query.
+    Returns ``(pi, dist)``.
+    """
+    dist = {}
+    settled = set()
+    stop_set = set(stop_vertices)
+    truncated_at = None
+    heap = []
+    for vertex in targets:
+        dist[vertex] = 0
+        heap.append((0, vertex))
+    heapq.heapify(heap)
+    while heap:
+        d, vertex = heapq.heappop(heap)
+        if d > dist.get(vertex, UNREACHABLE):
+            continue
+        if stop_set:
+            settled.add(vertex)
+            if vertex in stop_set:
+                truncated_at = d
+                dist = {v: dv for v, dv in dist.items() if v in settled}
+                break
+        interval = view.interval_at(vertex)
+        penalty = interval.penalty if interval is not None else 0
+        z = vertex[0]
+        for neighbour, kind, length in _coordinate_neighbours(graph, vertex):
+            n_interval = view.interval_at(neighbour)
+            if n_interval is None:
+                continue
+            layer_or_via = min(z, neighbour[0]) if kind == "via" else z
+            nd = d + costs.edge_cost(kind, layer_or_via, length)
+            if n_interval is not interval:
+                nd += penalty
+            if nd < dist.get(neighbour, UNREACHABLE):
+                dist[neighbour] = nd
+                heapq.heappush(heap, (nd, neighbour))
+    pi_h = _reference_pi_h(graph, targets, costs)
+
+    def pi(vertex):
+        h = pi_h(vertex)
+        d = dist.get(vertex)
+        if d is None:
+            if truncated_at is not None and view.interval_at(vertex) is not None:
+                return max(h, truncated_at)
+            return UNREACHABLE
+        return max(h, d)
+
+    return pi, dist
+
+
+def _interval_sequence(view):
+    return [
+        (i.z, i.t, i.c_lo, i.c_hi, i.penalty, i.needs_ripup)
+        for i in view._intervals
+    ]
+
+
+def _open_vertices(view):
+    graph = view.graph
+    for z in graph.stack.indices:
+        for t in range(len(graph.tracks[z])):
+            for _c_lo, index in view.track_intervals(z, t):
+                interval = view.interval(index)
+                for c in range(interval.c_lo, interval.c_hi + 1):
+                    yield (z, t, c)
+
+
+@pytest.fixture(scope="module")
+def soup_space():
+    """The golden chip plus foreign wires, so ripup views have ripup
+    intervals and penalties to charge."""
+    space = make_space()
+    graph = space.graph
+    rng = random.Random(29)
+    for i in range(14):
+        z = rng.choice(graph.stack.indices)
+        t = rng.randrange(len(graph.tracks[z]))
+        c0 = rng.randrange(len(graph.crosses[z]) - 4)
+        x0, y0, _z = graph.position((z, t, c0))
+        x1, y1, _z = graph.position((z, t, c0 + rng.randrange(1, 4)))
+        space.add_wire(f"soup{i}", "default", StickFigure(z, x0, y0, x1, y1))
+    return space
+
+
+def _random_vertex(rng, graph):
+    z = rng.choice(graph.stack.indices)
+    return (z, rng.randrange(len(graph.tracks[z])),
+            rng.randrange(len(graph.crosses[z])))
+
+
+class TestFlatSweepMatchesReference:
+    """pi_GR's flat sweep gives the reference Dijkstra's pi on every open
+    vertex and decomposes tracks in the same order; pi_H's flat query
+    equals the position-based one."""
+
+    #: View modes: ``plain``; ``penalised`` - ripup of the soup's wires
+    #: at a history-scaled penalty plus a spreading penalty on odd
+    #: tracks; ``corridor`` - the left 60% of the die on every layer but
+    #: the top one, so some forced vertices and tracks fall outside.
+    MODES = ("plain", "penalised", "corridor")
+
+    @staticmethod
+    def _view(space, forced, mode, rng):
+        if mode == "plain":
+            return GraphView(space, "default", RoutingArea.everywhere(),
+                             forced_vertices=set(forced))
+        if mode == "corridor":
+            die = space.chip.die
+            box = Rect(die.x_lo, die.y_lo,
+                       die.x_lo + die.width * 3 // 5, die.y_hi)
+            area = RoutingArea.from_boxes(
+                [(z, box) for z in space.graph.stack.indices[:-1]]
+            )
+            return GraphView(space, "default", area, forced_vertices=set(forced))
+        history = {_random_vertex(rng, space.graph): rng.randrange(1, 4)
+                   for _ in range(40)}
+        return GraphView(
+            space, "default", RoutingArea.everywhere(), ripup_level=3,
+            forced_vertices=set(forced), ripup_history=history,
+            ripup_base_penalty=25,
+            spreading_penalty=lambda interval: 40 if interval.t % 2 else 0,
+        )
+
+    def _instances(self, space, seed, count):
+        rng = random.Random(seed)
+        graph = space.graph
+        for i in range(count):
+            targets = [_random_vertex(rng, graph) for _ in range(1 + i % 2)]
+            sources = [_random_vertex(rng, graph) for _ in range(1 + i % 3)]
+            sources = [s for s in sources if s not in targets]
+            costs = SearchCosts() if i % 2 else SearchCosts(3, 40)
+            yield rng, sorted(set(targets)), sources, costs
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_pi_equal_on_every_open_vertex(self, soup_space, mode, truncated):
+        graph = soup_space.graph
+        seed = 41 + 2 * self.MODES.index(mode) + truncated
+        for rng, targets, sources, costs in self._instances(soup_space, seed, 4):
+            stops = sources if truncated else ()
+            state = rng.getstate()
+            ref_view = self._view(soup_space, targets + sources, mode, rng)
+            rng.setstate(state)
+            view = self._view(soup_space, targets + sources, mode, rng)
+            ref_pi, _dist = _reference_pi_gr(graph, targets, costs, ref_view, stops)
+            pi = FutureCostGR(graph, targets, costs, view, stop_vertices=stops)
+            # Same lazy decomposition order, so the same interval indices.
+            assert _interval_sequence(view) == _interval_sequence(ref_view)
+            for vertex in _open_vertices(view):
+                assert pi(vertex) == ref_pi(vertex), vertex
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_known_distances_dominate_pi_h(self, soup_space, mode, truncated):
+        graph = soup_space.graph
+        seed = 51 + 2 * self.MODES.index(mode) + truncated
+        for rng, targets, sources, costs in self._instances(soup_space, seed, 4):
+            view = self._view(soup_space, targets + sources, mode, rng)
+            pi = FutureCostGR(graph, targets, costs, view,
+                              stop_vertices=sources if truncated else ())
+            pi_h = FutureCostH(graph, targets, costs)
+            assert pi._dist
+            for vertex, d in pi._dist.items():
+                assert d >= pi_h(vertex), vertex
+
+    def test_pi_h_equals_position_based_bound(self, space):
+        graph = space.graph
+        rng = random.Random(61)
+        for i in range(6):
+            targets = [_random_vertex(rng, graph) for _ in range(1 + 2 * i)]
+            costs = SearchCosts() if i % 2 else SearchCosts(3, 40)
+            pi = FutureCostH(graph, targets, costs)
+            reference = _reference_pi_h(graph, targets, costs)
+            for z in graph.stack.indices:
+                for t in range(len(graph.tracks[z])):
+                    for c in range(len(graph.crosses[z])):
+                        assert pi((z, t, c)) == reference((z, t, c))
 
 
 if __name__ == "__main__":

@@ -10,7 +10,10 @@
   check of the same shape type;
 * per-group dominance in the distance-rule checker equals merging every
   group's pieces, and the band sweep's covered vertices equal per-vertex
-  gap tests.
+  gap tests;
+* the track graph's via partner tables equal coordinate-based partners,
+  and the shape grid's integer query yields the same piece stream as a
+  ``Rect``-per-candidate reference.
 """
 
 import random
@@ -970,3 +973,128 @@ class TestSweepCoveredMatchesGaps:
                 crosses, [0], candidate, 25, True,
             )
             assert got == [covered], rect
+
+
+class TestViaTablesMatchCoordinates:
+    """``TrackGraph.via_partner`` reads tables built once per layer pair;
+    on every vertex of three chips it must give the vertex at the same
+    (x, y) on the adjacent layer, or None where there is none."""
+
+    @pytest.mark.parametrize("seed", (3, 7, 1015))
+    def test_every_vertex(self, seed):
+        chip = generate_chip(
+            ChipSpec("viatab", rows=2, row_width_cells=4, net_count=4, seed=seed)
+        )
+        graph = RoutingSpace(chip).graph
+        found = missing = 0
+        for z in graph.stack.indices:
+            for other in (z - 1, z + 1):
+                for t in range(len(graph.tracks[z])):
+                    for c in range(len(graph.crosses[z])):
+                        x, y, _z = graph.position((z, t, c))
+                        want = (
+                            graph.vertex_at(x, y, other)
+                            if graph.stack.has_layer(other) else None
+                        )
+                        assert graph.via_partner((z, t, c), other) == want
+                        found += want is not None
+                        missing += want is None
+        assert found and missing
+
+
+def _reference_query(layer_grid, rect):
+    """``_LayerGrid.query`` building a ``Rect`` for every candidate piece
+    and testing it with ``Rect.intersects``."""
+    row_lo, row_hi, col_lo, col_hi = layer_grid._covered_cells(rect)
+    layer_grid._ensure_rows(row_lo, row_hi)
+    seen = set()
+    for row_index in range(row_lo, row_hi + 1):
+        row = layer_grid.rows.get(row_index)
+        if row is None:
+            continue
+        item = row.floor_item(col_lo)
+        start_key = item[0] if item is not None and item[1][0] >= col_lo else col_lo
+        for start, (end, config_id) in row.items(lo=start_key, hi=col_hi):
+            for col in range(max(start, col_lo), min(end, col_hi) + 1):
+                ax, ay = layer_grid._cell_anchor(row_index, col)
+                for shape in layer_grid.table.shapes(config_id):
+                    absolute = Rect(shape.x_lo + ax, shape.y_lo + ay,
+                                    shape.x_hi + ax, shape.y_hi + ay)
+                    if not absolute.intersects(rect):
+                        continue
+                    key = (absolute.as_tuple(), shape.net, shape.class_name,
+                           shape.shape_kind)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    yield ShapeEntry(absolute, shape.net, shape.class_name,
+                                     shape.shape_kind, shape.ripup_level,
+                                     shape.rule_width)
+
+
+def _entry_tuple(entry):
+    return (entry.rect.as_tuple(), entry.net, entry.class_name,
+            entry.shape_kind, entry.ripup_level, entry.rule_width)
+
+
+def _border_rect(rng):
+    """A rectangle with edges on cell borders: a cell-aligned box, a
+    stick lying on a border line, or a single border point."""
+    x = rng.randrange(0, 19) * _SOUP_CELL
+    y = rng.randrange(0, 19) * _SOUP_CELL
+    span = rng.randrange(1, 4) * _SOUP_CELL
+    style = rng.random()
+    if style < 0.4:
+        return Rect(x, y, x + span, y + rng.choice((_SOUP_CELL, 20)))
+    if style < 0.7:
+        return Rect(x, y, x, y + span) if rng.random() < 0.5 else Rect(x, y, x + span, y)
+    if style < 0.85:
+        return Rect(x, y, x, y)
+    return Rect(x - 1, y - 1, x + 1, y + 1)
+
+
+class TestLayerGridQueryMatchesReference:
+    """The integer intersection test in ``_LayerGrid.query`` yields the
+    same pieces, in the same order and with the same dedupe, as the
+    ``Rect``-based reference - on random soups with pieces and query
+    windows on cell borders, on both preferred directions and a via
+    layer."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_stream_equals_reference(self, seed):
+        rng = random.Random(seed)
+        stack = example_stack(4)
+        grid = ShapeGrid(
+            Rect(0, 0, 2000, 2000), stack,
+            cell_sizes={z: _SOUP_CELL for z in stack.indices},
+        )
+        for kind, layer in (("wiring", 1), ("wiring", 2), ("via", 1)):
+            shape_kinds = (
+                (ShapeKind.VIA_CUT,) if kind == "via"
+                else (ShapeKind.WIRE, ShapeKind.JOG, ShapeKind.PIN)
+            )
+            _shape_soup(rng, grid, kind, layer, shape_kinds)
+            for _ in range(rng.randrange(3, 9)):
+                # Some pieces are stored twice under different classes;
+                # the dedupe key must keep both.
+                rect = _border_rect(rng)
+                net = rng.choice(("a", "b", None))
+                shape_kind = rng.choice(shape_kinds)
+                for class_name in rng.choice((("thin",), ("thin", "wide"))):
+                    grid.add_shape(
+                        kind, layer, rect, net, class_name, shape_kind,
+                        rng.choice((1, 3, RIPUP_FIXED)), 20,
+                    )
+            layer_grid = grid._grid(kind, layer)
+            for _ in range(30):
+                if rng.random() < 0.5:
+                    window = _border_rect(rng)
+                else:
+                    x, y = rng.randrange(0, 1900), rng.randrange(0, 1900)
+                    window = Rect(x, y, x + rng.randrange(0, 400),
+                                  y + rng.randrange(0, 400))
+                got = [_entry_tuple(e) for e in layer_grid.query(window)]
+                want = [_entry_tuple(e)
+                        for e in _reference_query(layer_grid, window)]
+                assert got == want, (seed, kind, layer, window)
