@@ -117,11 +117,12 @@ def environment_fingerprint() -> Dict[str, object]:
     }
 
 
-def git_sha() -> Optional[str]:
-    """The repo HEAD commit, or None outside a usable git checkout."""
+def _git(*args: str) -> Optional[str]:
+    """Stdout of ``git <args>`` run in the repo, or None outside a
+    usable git checkout."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=str(REPO_ROOT),
             capture_output=True,
             text=True,
@@ -129,8 +130,21 @@ def git_sha() -> Optional[str]:
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout if out.returncode == 0 else None
+
+
+def git_sha() -> Optional[str]:
+    """The repo HEAD commit, or None outside a usable git checkout."""
+    sha = (_git("rev-parse", "HEAD") or "").strip()
+    return sha or None
+
+
+def git_dirty() -> Optional[bool]:
+    """Whether tracked files differ from HEAD (untracked files do not
+    count), or None outside a usable git checkout.  A dirty run's
+    figures may not reproduce at its ``git_sha``."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return None if status is None else bool(status.strip())
 
 
 def bench_record_path(bench: str, directory: Optional[str] = None) -> Path:
@@ -182,6 +196,7 @@ def write_bench_record(
     run: Dict[str, object] = {
         "env": environment_fingerprint(),
         "git_sha": git_sha(),
+        "git_dirty": git_dirty(),
         "wall_clock": {k: round(float(v), 4) for k, v in sorted(wall_clock.items())},
         "work": dict(sorted(work.items())),
     }

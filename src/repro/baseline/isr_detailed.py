@@ -16,14 +16,11 @@ distances" and completing the routing "in purely gridless fashion"
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.chip.net import Net
 from repro.droute.area import RoutingArea
-from repro.droute.connect import NetConnector
 from repro.droute.future_cost import SearchCosts
-from repro.droute.pinaccess import PinAccessPlanner
 from repro.droute.router import DetailedRouter, DetailedRoutingResult
 from repro.droute.space import RoutingSpace
 from repro.grid.shapegrid import RipupLevel
@@ -38,35 +35,21 @@ class IsrDetailedRouter(DetailedRouter):
         self,
         space: RoutingSpace,
         corridors: Optional[Dict[str, RoutingArea]] = None,
-        corridor_detours: Optional[Dict[str, float]] = None,
-        threads: int = 4,
-        max_retry_rounds: int = 2,
         track_assignment: bool = True,
     ) -> None:
         # Vias priced at a quarter of BonnRoute's default: the search
-        # hops layers freely, creating ISR's higher via counts.
-        costs = SearchCosts(jog_factor=2, via_cost=40)
+        # hops layers freely, creating ISR's higher via counts.  Greedy
+        # pin access: the base class's planner and connector with no
+        # reserved conflict-free solution (paths are chosen first-fit at
+        # use time).
         super().__init__(
             space,
             corridors=corridors,
-            corridor_detours=corridor_detours,
-            costs=costs,
-            threads=threads,
-            max_retry_rounds=max_retry_rounds,
+            costs=SearchCosts(jog_factor=2, via_cost=40),
             use_interval_search=False,  # node labelling only
             enable_pin_access=False,  # greedy dynamic access only
         )
         self.track_assignment = track_assignment
-        # Greedy pin access: normal catalogue breadth, but no reserved
-        # conflict-free solution (paths are chosen first-fit at use time).
-        self.planner = PinAccessPlanner(space)
-        self.connector = NetConnector(
-            space,
-            costs=costs,
-            access_paths={},
-            planner=self.planner,
-            use_interval_search=False,
-        )
 
     # ------------------------------------------------------------------
     # Track assignment (the intermediate step BonnRoute does not have)

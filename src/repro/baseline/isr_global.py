@@ -100,13 +100,15 @@ class IsrGlobalResult:
 class IsrGlobalRouter:
     """Negotiation-based 2D global router with layer assignment."""
 
+    #: Negotiation rounds at most.
+    max_iterations = 12
+    #: History cost added per round to every overflowing edge.
+    history_increment = 0.5
+    #: Present-congestion cost factor on an edge at or over capacity.
+    present_factor = 2.0
+
     def __init__(
-        self,
-        chip: Chip,
-        graph: Optional[GlobalRoutingGraph] = None,
-        max_iterations: int = 12,
-        history_increment: float = 0.5,
-        present_factor: float = 2.0,
+        self, chip: Chip, graph: Optional[GlobalRoutingGraph] = None
     ) -> None:
         self.chip = chip
         if graph is None:
@@ -117,9 +119,6 @@ class IsrGlobalRouter:
             estimate_capacities(graph, build_track_plan(chip))
         self.graph = graph
         self.grid = _Grid2D(graph)
-        self.max_iterations = max_iterations
-        self.history_increment = history_increment
-        self.present_factor = present_factor
         self.history: Dict[Edge2D, float] = {}
 
     # ------------------------------------------------------------------

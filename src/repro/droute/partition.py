@@ -21,6 +21,11 @@ from repro.chip.design import Chip
 from repro.chip.net import Net
 from repro.geometry.rect import Rect
 
+#: A net must stay this many bottom-layer pitches inside a region to be
+#: routable in it (changes near borders could affect neighbouring
+#: threads).
+SAFETY_MARGIN_PITCHES = 8
+
 
 class PartitionRound:
     """One round: disjoint regions, each routed by one (modelled) thread."""
@@ -114,23 +119,18 @@ def _balanced_cuts(weights: Sequence[int], parts: int) -> List[int]:
     return cuts
 
 
-def partition_sequence(
-    chip: Chip,
-    threads: int,
-    rounds: Optional[int] = None,
-    safety_margin: Optional[int] = None,
-) -> List[PartitionRound]:
+def partition_sequence(chip: Chip, threads: int) -> List[PartitionRound]:
     """The shrinking partition sequence of Sec. 5.1.
 
     Round k uses roughly threads / 2^k regions, cut along the x-axis at
     pin-weight-balanced positions; the final round is a single region so
-    every remaining connection can be closed.
+    every remaining connection can be closed.  Each multi-region round
+    keeps nets :data:`SAFETY_MARGIN_PITCHES` bottom-layer pitches inside
+    a region.
     """
     if threads < 1:
         raise ValueError("need at least one thread")
-    if safety_margin is None:
-        bottom = chip.stack[chip.stack.bottom]
-        safety_margin = 8 * bottom.pitch
+    safety_margin = SAFETY_MARGIN_PITCHES * chip.stack[chip.stack.bottom].pitch
     # Pin-count histogram along x (workload estimate).
     buckets = 64
     die = chip.die
@@ -157,8 +157,6 @@ def partition_sequence(
         sequence.append(PartitionRound(regions, safety_margin))
         region_count //= 2
     sequence.append(PartitionRound([die], 0))
-    if rounds is not None:
-        sequence = sequence[-rounds:]
     return sequence
 
 

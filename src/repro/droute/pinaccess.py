@@ -106,19 +106,20 @@ class PinAccessPlanner:
     #: Catalogue-memo entry budget; the memo drops its least recently
     #: used entry beyond it.
     memo_capacity = 4096
+    #: Wire type every access path is built with.
+    wire_type_name = "default"
+    #: Catalogue search radius around a pin, in pitches of its layer
+    #: (:meth:`build_catalogue` may be asked for a wider one).
+    radius_pitches = 4
 
     def __init__(
         self,
         space: RoutingSpace,
-        wire_type_name: str = "default",
-        radius_pitches: int = 4,
         max_endpoints: int = 10,
         max_paths: int = 6,
         fault_injector=None,
     ) -> None:
         self.space = space
-        self.wire_type_name = wire_type_name
-        self.radius_pitches = radius_pitches
         self.max_endpoints = max_endpoints
         self.max_paths = max_paths
         #: Optional :class:`repro.flow.faults.FaultInjector` probed at the

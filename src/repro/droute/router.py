@@ -148,16 +148,30 @@ class _RunState:
 
 
 class DetailedRouter:
-    """Track-based detailed router (Sec. 4)."""
+    """Track-based detailed router (Sec. 4).
+
+    Per-run settings come from the arguments; with a ``session`` the
+    corridors, detour factors, pin-access planner and reserved access
+    paths come from the session's records, and the flow passes the
+    session's ``workers`` and ``region_timeout_s``.  The partition
+    schedule and the retry depth are the class constants
+    :attr:`partition_threads` and :attr:`max_retry_rounds`.
+    """
+
+    #: Region count of the first partition round (Sec. 5.1); each later
+    #: round halves it.  It fixes the partition *structure*, so the net
+    #: order — and therefore the routing result — is independent of the
+    #: worker count.
+    partition_threads = 4
+    #: Corridor-expansion retries before a net may route anywhere (the
+    #: baseline rungs of :func:`~repro.flow.resilience.escalation_ladder`).
+    max_retry_rounds = 2
 
     def __init__(
         self,
         space: RoutingSpace,
         corridors: Optional[Dict[str, RoutingArea]] = None,
-        corridor_detours: Optional[Dict[str, float]] = None,
         costs: Optional[SearchCosts] = None,
-        threads: int = 4,
-        max_retry_rounds: int = 2,
         use_interval_search: bool = True,
         enable_pin_access: bool = True,
         spreading=None,
@@ -171,10 +185,7 @@ class DetailedRouter:
         self.space = space
         self.chip = space.chip
         #: Number of real worker processes for the partition rounds
-        #: (Sec. 5.1); 1 runs every round in-process.  ``threads``
-        #: controls the partition *structure* (region counts per round),
-        #: so the net order — and therefore the routing result — is
-        #: independent of the worker count.
+        #: (Sec. 5.1); 1 runs every round in-process.
         self.workers = max(1, int(workers))
         #: Per-region wall-clock deadline the pool supervisor enforces on
         #: workers (None: no deadline; hung workers are then only bounded
@@ -191,24 +202,24 @@ class DetailedRouter:
         #: are pulled back in from the chip even when outside the given
         #: net subset.
         self.session = session
-        if session is not None:
-            if corridors is None:
-                corridors = session.corridor_map()
-            if corridor_detours is None:
-                corridor_detours = session.detour_map()
+        if session is not None and corridors is None:
+            corridors = session.corridor_map()
         #: Per-net routing areas from global routing (Sec. 4.4); nets
         #: without an entry route in the whole chip.
         self.corridors = corridors if corridors is not None else {}
-        self.corridor_detours = corridor_detours if corridor_detours is not None else {}
+        #: Per-net detour factors of the global routes (Sec. 4.1).
+        self.corridor_detours: Dict[str, float] = (
+            session.detour_map() if session is not None else {}
+        )
         self.costs = costs if costs is not None else SearchCosts()
-        self.threads = threads
-        self.max_retry_rounds = max_retry_rounds
         self.use_interval_search = use_interval_search
         self.enable_pin_access = enable_pin_access
         self.fault_injector = fault_injector
         self.net_deadline_s = net_deadline_s
         self.stage_budget_s = stage_budget_s
-        self.ladder: List[EscalationRung] = escalation_ladder(max_retry_rounds)
+        self.ladder: List[EscalationRung] = escalation_ladder(
+            self.max_retry_rounds
+        )
         if session is not None and session.planner is not None:
             self.planner = session.planner
         else:
@@ -376,7 +387,7 @@ class DetailedRouter:
             key=lambda n: (-n.weight, n.half_perimeter()),
         )
         ordinary = [n for n in nets if n.weight <= 1.0]
-        sequence = partition_sequence(self.chip, self.threads)
+        sequence = partition_sequence(self.chip, self.partition_threads)
         rounds = assign_nets_to_rounds(self.chip, sequence, ordinary)
         deferred: List[Tuple[Net, int]] = []
         self._route_queue(

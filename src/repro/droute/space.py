@@ -314,9 +314,7 @@ class RoutingSpace:
         self.fast_grid.invalidate_region(layer, old, off_track=True)
         self.fast_grid.invalidate_region(layer, new, off_track=True)
 
-    def conflicting_nets(
-        self, layer: int, rect: Rect, margin: Optional[int] = None
-    ) -> Set[str]:
+    def conflicting_nets(self, layer: int, rect: Rect) -> Set[str]:
         """Nets with removable wiring within interaction distance of
         ``rect`` on ``layer`` and its via-coupled neighbours.
 
@@ -329,11 +327,7 @@ class RoutingSpace:
         for z in (layer - 1, layer, layer + 1):
             if not stack.has_layer(z):
                 continue
-            if margin is None:
-                reach = self.chip.rules.max_interaction_distance(z)
-            else:
-                reach = margin
-            window = rect.expanded(reach)
+            window = rect.expanded(self.chip.rules.max_interaction_distance(z))
             for entry in self.shape_grid.query("wiring", z, window):
                 if entry.net and entry.removable:
                     out.add(entry.net)

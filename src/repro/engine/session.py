@@ -53,9 +53,13 @@ from repro.engine.dirty import (
     REASON_RIPUP,
 )
 from repro.droute.space import RoutingSpace
-from repro.grid.tracks import TrackPlan, build_track_plan
+from repro.grid.tracks import build_track_plan
 from repro.groute.graph import Edge, GlobalRoute, GlobalRoutingGraph
 from repro.obs import OBS
+
+#: Tiles a global route's corridor extends beyond the route's own tiles
+#: (Sec. 4.4).
+CORRIDOR_MARGIN_TILES = 1
 
 #: Net record statuses.
 STATUS_PENDING = "pending"
@@ -145,30 +149,29 @@ class EcoReport:
 
 
 class RoutingSession:
-    """Owns one chip's routing state across full routes and ECO passes."""
+    """Owns one chip's routing state across full routes and ECO passes.
+
+    The session is the one owner of the routing settings: ``gr_phases``
+    and ``seed`` drive every global router bound to it, and ``workers``
+    and ``region_timeout_s`` every detailed router, whether the full
+    flow or an ECO reroute builds them.
+    """
 
     def __init__(
         self,
         chip: Chip,
         gr_phases: int = 15,
-        gr_tile_size: Optional[int] = None,
-        threads: int = 4,
         seed: Optional[int] = None,
-        corridor_margin_tiles: int = 1,
-        track_plan: Optional[TrackPlan] = None,
         workers: int = 1,
         region_timeout_s: Optional[float] = None,
     ) -> None:
         self.chip = chip
-        self.plan = track_plan if track_plan is not None else build_track_plan(chip)
+        self.plan = build_track_plan(chip)
         self.space = RoutingSpace(chip, track_plan=self.plan)
         self.gr_phases = gr_phases
-        self.gr_tile_size = gr_tile_size
-        self.threads = threads
         self.seed = seed
-        self.corridor_margin_tiles = corridor_margin_tiles
-        #: Worker-pool settings forwarded to every DetailedRouter bound
-        #: to this session (full runs via the flow and ECO reroutes).
+        #: Worker-pool settings of every DetailedRouter bound to this
+        #: session (full runs via the flow and ECO reroutes).
         self.workers = max(1, int(workers))
         self.region_timeout_s = region_timeout_s
         #: Sharing phases per ECO pass: warm-started prices converge much
@@ -229,7 +232,7 @@ class RoutingSession:
         if self._global_router is not None:
             return self._global_router.graph
         if self._graph is None:
-            self._graph = GlobalRoutingGraph(self.chip, self.gr_tile_size)
+            self._graph = GlobalRoutingGraph(self.chip)
         return self._graph
 
     def attach_global_router(self, router) -> None:
@@ -262,9 +265,7 @@ class RoutingSession:
             rec = self.record(name)
             rec.global_route = route
             rec.is_local = False
-            rec.corridor = global_result.corridor(
-                name, self.corridor_margin_tiles
-            )
+            rec.corridor = global_result.corridor(name, CORRIDOR_MARGIN_TILES)
             rec.corridor_detour = global_result.corridor_detour(name)
         for name in global_result.local_nets:
             rec = self.record(name)
@@ -326,22 +327,11 @@ class RoutingSession:
         Convenience wrapper: builds a
         :class:`~repro.flow.bonnroute.BonnRouteFlow` bound to this
         session (import deferred to avoid the flow <-> engine cycle).
-        The detailed stage runs on this session's ``workers`` and
-        ``region_timeout_s``.
+        Every stage reads its routing settings from this session.
         """
         from repro.flow.bonnroute import BonnRouteFlow
 
-        flow = BonnRouteFlow(
-            self.chip,
-            gr_phases=self.gr_phases,
-            gr_tile_size=self.gr_tile_size,
-            threads=self.threads,
-            seed=self.seed,
-            corridor_margin_tiles=self.corridor_margin_tiles,
-            session=self,
-            **flow_kwargs,
-        )
-        return flow.run()
+        return BonnRouteFlow(self.chip, session=self, **flow_kwargs).run()
 
     # ------------------------------------------------------------------
     # ECO changes
@@ -527,12 +517,7 @@ class RoutingSession:
 
         if self._global_router is None or self._capacities_stale:
             self._global_router = GlobalRouter(
-                self.chip,
-                tile_size=self.gr_tile_size,
-                phases=self.gr_phases,
-                seed=self.seed,
-                track_plan=self.plan,
-                session=self,
+                self.chip, phases=self.gr_phases, seed=self.seed, session=self
             )
             self._capacities_stale = False
         return self._global_router
@@ -600,7 +585,6 @@ class RoutingSession:
             detailed_start = time.time()
             detailed = DetailedRouter(
                 self.space,
-                threads=self.threads,
                 session=self,
                 workers=self.workers,
                 region_timeout_s=self.region_timeout_s,

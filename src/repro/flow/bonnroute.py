@@ -69,17 +69,25 @@ class FlowResult:
 
 
 class BonnRouteFlow:
-    """BonnRoute global + detailed routing followed by DRC cleanup."""
+    """BonnRoute global + detailed routing followed by DRC cleanup.
+
+    The routing settings (``gr_phases``, ``seed``, ``workers``,
+    ``region_timeout_s``) live on the engine session the flow routes
+    into; every stage reads them from :attr:`session`.  The flow's own
+    arguments of those names only configure the session it builds when
+    it is given none, and are ignored when ``session`` is passed.  The
+    remaining knobs are constants: the global tile size is the
+    :class:`~repro.groute.graph.GlobalRoutingGraph` default, the corridor
+    margin is :data:`repro.engine.session.CORRIDOR_MARGIN_TILES`, and the
+    partition schedule is :attr:`DetailedRouter.partition_threads`.
+    """
 
     def __init__(
         self,
         chip: Chip,
         gr_phases: int = 30,
-        gr_tile_size: Optional[int] = None,
-        threads: int = 4,
         seed: Optional[int] = None,
         cleanup: bool = True,
-        corridor_margin_tiles: int = 1,
         preroute_local_nets: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         net_timeout_s: Optional[float] = None,
@@ -91,17 +99,21 @@ class BonnRouteFlow:
         region_timeout_s: Optional[float] = None,
     ) -> None:
         self.chip = chip
-        #: The engine session this flow writes into.  Created lazily in
-        #: :meth:`_run_impl` when none is given; pass one to route into
-        #: existing session state (e.g. from
-        #: :meth:`repro.engine.session.RoutingSession.route`).
+        if session is None:
+            from repro.engine.session import RoutingSession
+
+            session = RoutingSession(
+                chip,
+                gr_phases=gr_phases,
+                seed=seed,
+                workers=workers,
+                region_timeout_s=region_timeout_s,
+            )
+        #: The engine session this flow writes into and reads its
+        #: routing settings from; it survives the flow and accepts ECO
+        #: changes afterwards.
         self.session = session
-        self.gr_phases = gr_phases
-        self.gr_tile_size = gr_tile_size
-        self.threads = threads
-        self.seed = seed
         self.cleanup = cleanup
-        self.corridor_margin_tiles = corridor_margin_tiles
         self.preroute_local_nets = preroute_local_nets
         self.fault_injector = (
             FaultInjector(fault_plan) if fault_plan is not None else None
@@ -110,14 +122,6 @@ class BonnRouteFlow:
         self.stage_budget_s = stage_budget_s
         self.checkpoint_path = checkpoint_path
         self.resume = resume
-        #: Worker-pool settings of a session this flow creates itself
-        #: (Sec. 5.1).  The main detailed stage always reads them from
-        #: the session it routes into, so a given session's own
-        #: settings win.
-        self._pool_settings = {
-            "workers": workers,
-            "region_timeout_s": region_timeout_s,
-        }
 
     # ------------------------------------------------------------------
     # Checkpoint helpers
@@ -126,7 +130,9 @@ class BonnRouteFlow:
         if not self.resume or self.checkpoint_path is None:
             return None
         return load_checkpoint(
-            self.checkpoint_path, chip_name=self.chip.name, seed=self.seed
+            self.checkpoint_path,
+            chip_name=self.chip.name,
+            seed=self.session.seed,
         )
 
     def _replay_routes(
@@ -170,18 +176,14 @@ class BonnRouteFlow:
         checkpoint = build_checkpoint(
             stage,
             self.chip.name,
-            self.seed,
+            self.session.seed,
             tile_size,
             space.routes if wiring is None else wiring,
             global_routes,
             sorted(local_nets),
             sorted(prerouted),
             detailed=detailed,
-            session=(
-                self.session.session_state()
-                if self.session is not None
-                else None
-            ),
+            session=self.session.session_state(),
             detailed_partial=detailed_partial,
         )
         save_checkpoint(self.checkpoint_path, checkpoint)
@@ -262,7 +264,6 @@ class BonnRouteFlow:
         pre_router = DetailedRouter(
             space,
             corridors=corridors,
-            threads=self.threads,
             fault_injector=self.fault_injector,
             net_deadline_s=self.net_timeout_s,
         )
@@ -284,7 +285,6 @@ class BonnRouteFlow:
 
     def _run_global(
         self,
-        plan,
         extra_obstacles: List,
         report: FlowFailureReport,
     ) -> GlobalRoutingResult:
@@ -302,10 +302,8 @@ class BonnRouteFlow:
         try:
             global_router = GlobalRouter(
                 self.chip,
-                tile_size=self.gr_tile_size,
-                phases=self.gr_phases,
-                seed=self.seed,
-                track_plan=plan,
+                phases=self.session.gr_phases,
+                seed=self.session.seed,
                 extra_obstacles=extra_obstacles or None,
                 fault_injector=self.fault_injector,
                 session=self.session,
@@ -322,7 +320,7 @@ class BonnRouteFlow:
                     stage=STAGE_GLOBAL,
                     error=f"{type(error).__name__}: {error}",
                 )
-            graph = GlobalRoutingGraph(self.chip, self.gr_tile_size)
+            graph = GlobalRoutingGraph(self.chip)
             fallback = GlobalRoutingResult(self.chip, graph)
             for net in self.chip.nets:
                 if graph.is_local_net(net):
@@ -346,7 +344,6 @@ class BonnRouteFlow:
         runs between the global-stage checkpoint and detailed routing)."""
         return DetailedRouter(
             space,
-            threads=self.threads,
             fault_injector=self.fault_injector,
             net_deadline_s=self.net_timeout_s,
             stage_budget_s=self.stage_budget_s,
@@ -390,21 +387,8 @@ class BonnRouteFlow:
         sampler = ResourceSampler()
         result = FlowResult(self.chip)
         report = result.failure_report
-        if self.session is None:
-            from repro.engine.session import RoutingSession
-
-            self.session = RoutingSession(
-                self.chip,
-                gr_phases=self.gr_phases,
-                gr_tile_size=self.gr_tile_size,
-                threads=self.threads,
-                seed=self.seed,
-                corridor_margin_tiles=self.corridor_margin_tiles,
-                **self._pool_settings,
-            )
         session = self.session
         result.session = session
-        plan = session.plan
         space = session.space
         result.space = space
 
@@ -443,7 +427,7 @@ class BonnRouteFlow:
                 sampler.sample()
             OBS.flight_note("flow.stage", stage="global")
             with OBS.trace("flow.global"):
-                global_result = self._run_global(plan, extra_obstacles, report)
+                global_result = self._run_global(extra_obstacles, report)
             if OBS.enabled:
                 sampler.sample()
             result.global_result = global_result

@@ -8,33 +8,28 @@ and the same local DRC cleanup finisher as the BR+ISR flow.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.baseline.cleanup import DrcCleanup
 from repro.baseline.isr_detailed import IsrDetailedRouter
 from repro.baseline.isr_global import IsrGlobalRouter
 from repro.chip.design import Chip
 from repro.droute.area import RoutingArea
-from repro.droute.space import RoutingSpace
 from repro.flow.bonnroute import FlowResult
 from repro.flow.stats import collect_metrics
 from repro.obs import OBS
+
+#: Tiles an ISR corridor extends beyond its global route's tiles (the
+#: BonnRoute flow uses :data:`repro.engine.session.CORRIDOR_MARGIN_TILES`).
+CORRIDOR_MARGIN_TILES = 2
 
 
 class IsrFlow:
     """The industry-standard-router stand-in flow."""
 
-    def __init__(
-        self,
-        chip: Chip,
-        threads: int = 4,
-        cleanup: bool = True,
-        corridor_margin_tiles: int = 2,
-    ) -> None:
+    def __init__(self, chip: Chip, cleanup: bool = True) -> None:
         self.chip = chip
-        self.threads = threads
         self.cleanup = cleanup
-        self.corridor_margin_tiles = corridor_margin_tiles
 
     def run(self) -> FlowResult:
         """Run the baseline flow (same span/obs shape as BonnRouteFlow)."""
@@ -55,11 +50,7 @@ class IsrFlow:
         # Light session integration: the baseline flow shares the engine
         # record model (status/corridor per net) but keeps its own
         # negotiation-based global router; ECO reroutes are BR-only.
-        session = RoutingSession(
-            self.chip,
-            threads=self.threads,
-            corridor_margin_tiles=self.corridor_margin_tiles,
-        )
+        session = RoutingSession(self.chip)
         result.session = session
         space = session.space
         result.space = space
@@ -76,7 +67,7 @@ class IsrFlow:
             for node in route.nodes():
                 tx, ty, z = node
                 rect = graph.tile_rect(tx, ty).expanded(
-                    self.corridor_margin_tiles * graph.tile_size
+                    CORRIDOR_MARGIN_TILES * graph.tile_size
                 )
                 for layer in (z - 1, z, z + 1):
                     if self.chip.stack.has_layer(layer):
@@ -84,12 +75,7 @@ class IsrFlow:
             if boxes:
                 corridors[name] = RoutingArea.from_boxes(boxes)
         for name in global_result.local_nets:
-            net = self.chip.net(name)
-            box = net.bounding_box().expanded(2 * graph.tile_size)
-            clipped = box.intersection(self.chip.die) or self.chip.die
-            corridors[name] = RoutingArea.from_boxes(
-                [(z, clipped) for z in self.chip.stack.indices]
-            )
+            corridors[name] = session.local_corridor(self.chip.net(name))
 
         for name, route in global_result.routes.items():
             record = session.record(name)
@@ -100,9 +86,7 @@ class IsrFlow:
             record.is_local = True
             record.corridor = corridors.get(name)
 
-        detailed = IsrDetailedRouter(
-            space, corridors=corridors, threads=self.threads
-        )
+        detailed = IsrDetailedRouter(space, corridors=corridors)
         with OBS.trace("flow.detailed"):
             detailed_result = detailed.run()
         session.ingest_detailed(detailed_result)

@@ -201,9 +201,12 @@ class IntervalCache:
     cached runs stay deterministic and view-independent.
     """
 
-    def __init__(self, max_entries: int = 8192) -> None:
+    #: Entry budget; the cache empties itself when a store would exceed
+    #: it.
+    max_entries = 8192
+
+    def __init__(self) -> None:
         self._entries: Dict[tuple, Tuple[int, list]] = {}
-        self.max_entries = max_entries
 
     def lookup(self, key: tuple, epoch: int) -> Optional[list]:
         entry = self._entries.get(key)

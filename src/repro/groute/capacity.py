@@ -32,6 +32,10 @@ from repro.tech.layers import Direction
 #: before counting usable track length (Sec. 2.5).
 BLOCKAGE_EXTENSION_PITCHES = 1
 
+#: Via pads that extend towards neighbouring tracks scale a tile's via
+#: capacity by this factor (Sec. 2.5).
+VIA_PAD_SCALING = 0.5
+
 
 def _layer_obstacles(
     chip: Chip,
@@ -90,7 +94,6 @@ def _usable_fraction(
 def estimate_capacities(
     graph: GlobalRoutingGraph,
     plan: TrackPlan,
-    via_pad_scaling: float = 0.5,
     extra_obstacles: Optional[Sequence[Tuple[int, Rect]]] = None,
 ) -> None:
     """Fill ``graph.capacities`` for all edges.
@@ -105,9 +108,7 @@ def estimate_capacities(
     }
     for edge in graph.edges():
         if graph.is_via_edge(edge):
-            graph.capacities[edge] = _via_capacity(
-                graph, plan, edge, via_pad_scaling
-            )
+            graph.capacities[edge] = _via_capacity(graph, plan, edge)
         else:
             graph.capacities[edge] = _wire_capacity(
                 graph, plan, edge, obstacles_per_layer
@@ -145,10 +146,7 @@ def _wire_capacity(
 
 
 def _via_capacity(
-    graph: GlobalRoutingGraph,
-    plan: TrackPlan,
-    edge: Edge,
-    via_pad_scaling: float,
+    graph: GlobalRoutingGraph, plan: TrackPlan, edge: Edge
 ) -> float:
     """Vias from layer l to l+1 placeable simultaneously in the tile."""
     (tx, ty, z_lo) = min(edge, key=lambda n: n[2])
@@ -164,7 +162,7 @@ def _via_capacity(
     crossings = tracks_in_tile(z_lo) * tracks_in_tile(z_hi)
     # Minimum via-cut distance halves the usable crossings; pads that
     # extend towards neighbouring tracks scale further (Sec. 2.5).
-    return crossings * 0.5 * via_pad_scaling
+    return crossings * 0.5 * VIA_PAD_SCALING
 
 
 def apply_intra_tile_reduction(

@@ -14,8 +14,7 @@ repaired in two stages:
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.chip.net import Net
 from repro.groute.graph import Edge, GlobalRoute, GlobalRoutingGraph
@@ -23,6 +22,10 @@ from repro.groute.resources import ResourceModel
 from repro.groute.sharing import FractionalSolution, SolutionKey
 from repro.groute.steiner_oracle import path_composition_steiner_tree
 from repro.util.rng import make_rng, weighted_choice
+
+#: Stage-1 repair passes (rechoosing from the fractional support) before
+#: the fresh reroutes of stage 2.
+MAX_RECHOOSE_PASSES = 3
 
 
 class RoundingStats:
@@ -119,12 +122,11 @@ class RoundingPostprocessor:
         routes: Dict[str, GlobalRoute],
         solution: FractionalSolution,
         nets: Sequence[Net],
-        max_rechoose_passes: int = 3,
     ) -> Dict[str, GlobalRoute]:
         self.stats.initial_violations = len(self.violations(routes))
         nets_by_name = {net.name: net for net in nets}
         # Stage 1: rechoose from the fractional support.
-        for _pass in range(max_rechoose_passes):
+        for _pass in range(MAX_RECHOOSE_PASSES):
             violated = self.violations(routes)
             if not violated:
                 break

@@ -126,10 +126,7 @@ class GlobalRouter:
     def __init__(
         self,
         chip: Chip,
-        tile_size: Optional[int] = None,
         phases: int = 40,
-        epsilon: float = 1.0,
-        optimize_spacing: bool = True,
         seed: Optional[int] = None,
         track_plan: Optional[TrackPlan] = None,
         capacity_scale: float = 1.0,
@@ -142,7 +139,7 @@ class GlobalRouter:
         #: set, results are written into the session's per-net records
         #: and the final sharing duals are stored for ECO warm starts.
         self.session = session
-        self.graph = GlobalRoutingGraph(chip, tile_size)
+        self.graph = GlobalRoutingGraph(chip)
         if session is not None and track_plan is None:
             track_plan = session.plan
         self.plan = track_plan if track_plan is not None else build_track_plan(chip)
@@ -156,11 +153,8 @@ class GlobalRouter:
         # Both capacity reductions of Sec. 2.1.
         apply_intra_tile_reduction(self.graph, chip.nets, steiner_length)
         apply_stacked_via_reduction(self.graph)
-        self.model = ResourceModel(
-            self.graph, chip.nets, optimize_spacing=optimize_spacing,
-        )
+        self.model = ResourceModel(self.graph, chip.nets)
         self.phases = phases
-        self.epsilon = epsilon
         self.seed = seed
         self.fault_injector = fault_injector
         if session is not None:
@@ -182,7 +176,7 @@ class GlobalRouter:
             else:
                 routable.append(net)
         solver = ResourceSharingSolver(
-            self.graph, self.model, phases=self.phases, epsilon=self.epsilon,
+            self.graph, self.model, phases=self.phases,
             fault_injector=self.fault_injector,
         )
         sharing_start = time.time()
@@ -222,7 +216,6 @@ class GlobalRouter:
         warm_start: Optional[Dict[object, float]] = None,
         phases: Optional[int] = None,
         frozen_routes: Optional[Dict[str, GlobalRoute]] = None,
-        deadline=None,
     ) -> GlobalRoutingResult:
         """Re-route only ``nets``, warm-starting from previous duals.
 
@@ -246,7 +239,6 @@ class GlobalRouter:
         solver = ResourceSharingSolver(
             self.graph, self.model,
             phases=phases if phases is not None else self.phases,
-            epsilon=self.epsilon,
             fault_injector=self.fault_injector,
             initial_log_prices=warm_start,
         )
@@ -255,7 +247,7 @@ class GlobalRouter:
             "groute.sharing", nets=len(routable), phases=solver.phases,
             incremental=True,
         ):
-            fractional = solver.solve(routable, deadline=deadline)
+            fractional = solver.solve(routable)
         result.sharing_runtime = time.time() - sharing_start
         result.fractional = fractional
         rounding_start = time.time()

@@ -6,7 +6,8 @@ resource prices; prices grow exponentially with usage
 (y_r *= exp(eps * g_n^r(b))).  The average over phases is the fractional
 solution; with t = ceil(96 ln|R| / omega^2) and eps = omega/12 it is a
 sigma(1 + omega)-approximation (Thm 2.2).  In practice t = 125 and
-eps = 1 work well (Sec. 2.3); both are parameters here.
+eps = 1 work well (Sec. 2.3); t is a parameter here, eps the constant
+:data:`EPSILON`.
 
 Speed-ups from the paper implemented:
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chip.net import Net
 from repro.groute.graph import Edge, GlobalRoutingGraph
@@ -31,6 +32,14 @@ from repro.groute.steiner_oracle import (
     OracleResult,
     path_composition_steiner_tree,
 )
+
+#: Price growth rate eps of Algorithm 2 (Sec. 2.3).
+EPSILON = 1.0
+
+#: Scaling framework (Sec. 2.3): the probe congestion range that ends the
+#: rescaling, and the most probes run before the full solve.
+SCALING_TARGET = (0.4, 1.05)
+SCALING_MAX_ROUNDS = 4
 
 #: One candidate solution of a net: frozen edge set + extra space tuple.
 SolutionKey = Tuple[Tuple[Edge, ...], Tuple[float, ...]]
@@ -78,7 +87,6 @@ class ResourceSharingSolver:
         graph: GlobalRoutingGraph,
         model: ResourceModel,
         phases: int = 125,
-        epsilon: float = 1.0,
         reuse_threshold: float = 1.5,
         use_landmarks: bool = False,
         landmark_count: int = 4,
@@ -88,7 +96,6 @@ class ResourceSharingSolver:
         self.graph = graph
         self.model = model
         self.phases = phases
-        self.epsilon = epsilon
         #: Optional :class:`repro.flow.faults.FaultInjector` probed at the
         #: "steiner_oracle" site before each oracle call.
         self.fault_injector = fault_injector
@@ -278,12 +285,12 @@ class ResourceSharingSolver:
                 for edge, usage in edge_usage.items():
                     if usage > 0:
                         self._log_price[edge] = (
-                            self._log_price.get(edge, 0.0) + self.epsilon * usage
+                            self._log_price.get(edge, 0.0) + EPSILON * usage
                         )
                 for name, usage in global_usage.items():
                     if usage > 0:
                         self._log_price[name] = (
-                            self._log_price.get(name, 0.0) + self.epsilon * usage
+                            self._log_price.get(name, 0.0) + EPSILON * usage
                         )
                 if OBS.enabled:
                     for resource, usage in edge_usage.items():
@@ -358,8 +365,6 @@ def solve_with_scaling(
     nets: Sequence[Net],
     phases: int = 40,
     probe_phases: int = 8,
-    max_rounds: int = 4,
-    target: Tuple[float, float] = (0.4, 1.05),
     **solver_kwargs,
 ) -> Tuple[FractionalSolution, List[float]]:
     """The scaling framework of Sec. 2.3.
@@ -368,13 +373,14 @@ def solve_with_scaling(
     when the guessed objective bounds are off, the paper rescales all
     (global) resources - "for instance, by binary search".  This probes
     with few phases, multiplies the global bounds by the observed lambda
-    until it lands in ``target``, then runs the full solve.
+    until it lands in :data:`SCALING_TARGET` (at most
+    :data:`SCALING_MAX_ROUNDS` probes), then runs the full solve.
 
     Returns (solution, probe lambda history).
     """
     history: List[float] = []
-    lo, hi = target
-    for _round in range(max_rounds):
+    lo, hi = SCALING_TARGET
+    for _round in range(SCALING_MAX_ROUNDS):
         probe = ResourceSharingSolver(
             graph, model, phases=probe_phases, **solver_kwargs
         )
@@ -396,7 +402,6 @@ def solve_parallel_simulated(
     nets: Sequence[Net],
     threads: int = 4,
     phases: int = 40,
-    epsilon: float = 1.0,
     **solver_kwargs,
 ) -> FractionalSolution:
     """Simulate the shared-memory parallel resource sharing of Sec. 5.1.
@@ -412,9 +417,7 @@ def solve_parallel_simulated(
 
     Returns a FractionalSolution comparable to the serial solver's.
     """
-    solver = ResourceSharingSolver(
-        graph, model, phases=phases, epsilon=epsilon, **solver_kwargs
-    )
+    solver = ResourceSharingSolver(graph, model, phases=phases, **solver_kwargs)
     solution = FractionalSolution()
     counts: Dict[str, Dict[SolutionKey, int]] = {net.name: {} for net in nets}
     terminals = {net.name: graph.net_terminals(net) for net in nets}
@@ -452,13 +455,13 @@ def solve_parallel_simulated(
                     if usage > 0:
                         solver._log_price[edge] = (
                             solver._log_price.get(edge, 0.0)
-                            + epsilon * usage
+                            + EPSILON * usage
                         )
                 for name, usage in global_usage.items():
                     if usage > 0:
                         solver._log_price[name] = (
                             solver._log_price.get(name, 0.0)
-                            + epsilon * usage
+                            + EPSILON * usage
                         )
     for net_name, net_counts in counts.items():
         total = sum(net_counts.values())

@@ -134,6 +134,13 @@ def compare_runs(
     return findings
 
 
+def _run_label(run: Dict[str, object]) -> str:
+    """A run's short commit, suffixed ``-dirty`` when it was measured on
+    a working tree with uncommitted changes to tracked files."""
+    label = (run.get("git_sha") or "unknown")[:12]
+    return f"{label}-dirty" if run.get("git_dirty") else label
+
+
 def _fmt(value: Optional[float]) -> str:
     if value is None:
         return "-"
@@ -217,10 +224,8 @@ def main(argv=None) -> int:
         base_run, cur_run, args.tolerance_pct, args.time_tolerance_pct
     )
     print(
-        f"bench {base_bench}: baseline "
-        f"{(base_run.get('git_sha') or 'unknown')[:12]} vs current "
-        f"{(cur_run.get('git_sha') or 'unknown')[:12]} "
-        f"(work tolerance {args.tolerance_pct:g}%)"
+        f"bench {base_bench}: baseline {_run_label(base_run)} vs current "
+        f"{_run_label(cur_run)} (work tolerance {args.tolerance_pct:g}%)"
     )
     print_findings(findings)
     failures = [f for f in findings if f.status == "FAIL"]

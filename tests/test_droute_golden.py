@@ -12,6 +12,9 @@ sorted wires and vias plus the failed set, ``retries`` and
   counts, so the window-restricted pi_GR reroutes of ``DrcCleanup`` are
   covered.
 
+:meth:`RoutingSession.route`, the entry point the routing benchmark
+drives, must reproduce both :class:`BonnRouteFlow` records.
+
 The digests do not depend on ``PYTHONHASHSEED``.  Regenerate the file
 (only when a results change is intended) with::
 
@@ -27,6 +30,7 @@ import pytest
 from repro.chip.generator import ChipSpec, generate_chip
 from repro.droute.router import DetailedRouter
 from repro.droute.space import RoutingSpace
+from repro.engine.session import RoutingSession
 from repro.flow.bonnroute import BonnRouteFlow
 from repro.flow.isr_flow import IsrFlow
 
@@ -76,22 +80,25 @@ def run_isr(seed):
     return _record(result.space, result.detailed_result)
 
 
+def _flow_record(result):
+    record = _record(result.space, result.detailed_result)
+    if result.cleanup_report is not None:
+        summary = result.cleanup_report.summary()
+        del summary["runtime"]
+        record["cleanup"] = summary
+    return record
+
+
 def run_bonnroute(seed):
-    result = BonnRouteFlow(
-        pooltest_chip(seed), gr_phases=4, seed=1, cleanup=False
-    ).run()
-    return _record(result.space, result.detailed_result)
+    return _flow_record(
+        BonnRouteFlow(pooltest_chip(seed), gr_phases=4, seed=1, cleanup=False).run()
+    )
 
 
 def run_bonnroute_cleanup(seed):
-    result = BonnRouteFlow(
-        pooltest_chip(seed), gr_phases=4, seed=1, cleanup=True
-    ).run()
-    record = _record(result.space, result.detailed_result)
-    summary = result.cleanup_report.summary()
-    del summary["runtime"]
-    record["cleanup"] = summary
-    return record
+    return _flow_record(
+        BonnRouteFlow(pooltest_chip(seed), gr_phases=4, seed=1, cleanup=True).run()
+    )
 
 
 #: Entry name -> (run producing its record, chip seed).
@@ -119,6 +126,28 @@ def test_golden_covers_every_run():
 def test_run_reproduces_golden(name):
     run, seed = RUNS[name]
     assert run(seed) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("cleanup", [False, True])
+def test_session_route_reproduces_flow_golden(cleanup):
+    result = RoutingSession(pooltest_chip(11), gr_phases=4, seed=1).route(
+        cleanup=cleanup
+    )
+    name = "bonnroute_cleanup_11" if cleanup else "bonnroute_11"
+    assert _flow_record(result) == GOLDEN[name]
+
+
+def test_flow_builds_its_session_from_its_settings():
+    # ``--eco`` reroutes on the session the flow built, with these values.
+    flow = BonnRouteFlow(
+        pooltest_chip(11), gr_phases=7, seed=3, workers=2, region_timeout_s=9.0
+    )
+    session = flow.session
+    assert (
+        session.gr_phases, session.seed, session.workers, session.region_timeout_s
+    ) == (7, 3, 2, 9.0)
+    given = RoutingSession(pooltest_chip(11), gr_phases=5, seed=2)
+    assert BonnRouteFlow(given.chip, session=given).session is given
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ of the sorted final prices, all floats written with ``float.hex``, plus
 the oracle call and reuse counts:
 
 * :meth:`GlobalRouter.run` on two small chips (chip seeds 7 and 8);
-* ``optimize_spacing=False``;
+* a :class:`ResourceModel` with ``optimize_spacing=False``;
 * a chip with wide nets and a ``detour_bound`` net;
 * :meth:`GlobalRouter.run_incremental` warm-started from a full run;
 * :func:`solve_with_scaling` from a 10x too tight wirelength bound;
@@ -113,8 +113,12 @@ def _routable(router):
     return [n for n in router.chip.nets if not router.graph.is_local_net(n)]
 
 
-def run_router(seed, **router_kwargs):
-    router = GlobalRouter(small_chip(seed), phases=PHASES, seed=1, **router_kwargs)
+def run_router(seed, optimize_spacing=True):
+    router = GlobalRouter(small_chip(seed), phases=PHASES, seed=1)
+    if not optimize_spacing:
+        router.model = ResourceModel(
+            router.graph, router.chip.nets, optimize_spacing=False
+        )
     return _router_record(router.run())
 
 

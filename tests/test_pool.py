@@ -119,8 +119,8 @@ class TestPoolDeterminism:
             assert not par.pool_degraded
 
     def test_worker_count_only_sets_processes_not_structure(self):
-        # threads (=4 default) governs the partition rounds; workers=3
-        # must still reproduce the serial result bit-identically.
+        # DetailedRouter.partition_threads governs the partition rounds;
+        # workers=3 must still reproduce the serial result bit-identically.
         serial, serial_routes, _ = run_router(1)
         par, par_routes, _ = run_router(3)
         assert par_routes == serial_routes

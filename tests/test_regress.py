@@ -9,9 +9,11 @@ mismatch).  CI scripts depend on exactly this, so the tests drive
 """
 
 import json
+import subprocess
 
 import pytest
 
+import benchmarks.common
 from benchmarks.common import (
     BENCH_CHIP_SPECS,
     BENCH_MAX_RUNS,
@@ -131,6 +133,33 @@ class TestWriteBenchRecord:
         assert path == tmp_path / "sub" / "BENCH_table9.json"
         assert path.exists()
 
+    def test_records_whether_the_tree_was_dirty(self, tmp_path, _bench_env):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=bench", "-c", "user.email=bench@x",
+                 "-c", "commit.gpgsign=false", *args],
+                cwd=repo, check=True, capture_output=True, text=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        (repo / "tracked.txt").write_text("one\n")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "init")
+        head = git("rev-parse", "HEAD")
+        _bench_env.setattr(benchmarks.common, "REPO_ROOT", repo)
+        # Untracked files do not make the tree dirty.
+        (repo / "untracked.txt").write_text("scratch\n")
+        clean = json.loads(open(_write(tmp_path / "clean", {"n": 1})).read())
+        (repo / "tracked.txt").write_text("two\n")
+        dirty = json.loads(open(_write(tmp_path / "dirty", {"n": 1})).read())
+        assert (clean["runs"][0]["git_sha"], clean["runs"][0]["git_dirty"]) == (
+            head, False)
+        assert (dirty["runs"][0]["git_sha"], dirty["runs"][0]["git_dirty"]) == (
+            head, True)
+
     def test_corrupt_existing_file_is_replaced(self, tmp_path):
         target = tmp_path / "BENCH_table1.json"
         target.write_text("{not json")
@@ -197,6 +226,19 @@ class TestRegressCli:
         path = _write(tmp_path, {"br.labels": 63047, "br.vias": 33})
         assert main([path, path, "--tolerance-pct", "10"]) == 0
         assert "no regression detected" in capsys.readouterr().out
+
+    def test_header_marks_dirty_runs(self, tmp_path, capsys):
+        path = tmp_path / "BENCH_table1.json"
+        run = {"git_sha": "0123456789abcdef", "work": {"n": 1}}
+        document = {"schema": BENCH_SCHEMA_NAME, "version": BENCH_SCHEMA_VERSION,
+                    "bench": "table1", "runs": [dict(run, git_dirty=False)]}
+        path.write_text(json.dumps(document))
+        dirty_path = tmp_path / "BENCH_dirty.json"
+        document["runs"] = [dict(run, git_dirty=True)]
+        dirty_path.write_text(json.dumps(document))
+        assert main([str(path), str(dirty_path)]) == 0
+        assert ("baseline 0123456789ab vs current 0123456789ab-dirty"
+                in capsys.readouterr().out)
 
     def test_injected_regression_fails(self, tmp_path, capsys):
         base = _write(tmp_path, {"br.labels": 1000, "br.oracle": 60})
