@@ -37,10 +37,7 @@ from repro.grid.tracks import build_track_plan
 from repro.groute.capacity import estimate_capacities
 from repro.groute.graph import GlobalRoutingGraph
 from repro.groute.resources import ResourceModel
-from repro.groute.sharing import (
-    ResourceSharingSolver,
-    solve_parallel_simulated,
-)
+from repro.groute.sharing import ResourceSharingSolver
 
 SPEC = ChipSpec("statpar", rows=3, row_width_cells=7, net_count=14, seed=41)
 
@@ -57,24 +54,26 @@ def test_parallel_sharing_quality(benchmark):
     def run():
         rows = []
         lambdas = {}
-        serial = ResourceSharingSolver(
-            graph, model, phases=10, reuse_threshold=1.0
-        ).solve(routable)
-        rows.append(["serial", f"{serial.max_congestion:.3f}"])
+        serial = ResourceSharingSolver(graph, model, phases=10)
+        serial.reuse_threshold = 1.0
+        serial = serial.solve(routable)
+        rows.append(["serial", f"{serial.max_congestion:.4f}",
+                     serial.oracle_calls])
         lambdas["serial"] = serial.max_congestion
         for threads in (2, 4, 8):
-            parallel = solve_parallel_simulated(
-                graph, model, routable, threads=threads, phases=10
-            )
+            parallel = ResourceSharingSolver(
+                graph, model, phases=10, threads=threads
+            ).solve(routable)
             rows.append([f"{threads} threads (simulated)",
-                         f"{parallel.max_congestion:.3f}"])
+                         f"{parallel.max_congestion:.4f}",
+                         parallel.oracle_calls])
             lambdas[threads] = parallel.max_congestion
         return rows, lambdas
 
     rows, lambdas = benchmark.pedantic(run, rounds=1, iterations=1)
     print_table(
         "Sec. 5.1: volatility-tolerant parallel resource sharing",
-        ["configuration", "lambda"],
+        ["configuration", "lambda", "oracle calls"],
         rows,
     )
     benchmark.extra_info["lambdas"] = {str(k): v for k, v in lambdas.items()}

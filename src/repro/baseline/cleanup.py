@@ -17,17 +17,14 @@ despite touching only local windows (Sec. 5.3).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional
 
-from repro.chip.net import Net
 from repro.drc.checker import DrcChecker, DrcReport, Violation
 from repro.droute.area import RoutingArea
 from repro.droute.connect import NetConnector
 from repro.droute.pinaccess import PinAccessPlanner
-from repro.droute.samenet import _try_extend, merge_collinear
+from repro.droute.samenet import _try_extend
 from repro.droute.space import RoutingSpace
-from repro.geometry.rect import Rect
-from repro.grid.shapegrid import RipupLevel
 
 
 class CleanupReport:

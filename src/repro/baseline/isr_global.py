@@ -20,7 +20,6 @@ from repro.groute.graph import (
     Edge,
     GlobalRoute,
     GlobalRoutingGraph,
-    Node,
     canonical_edge,
 )
 from repro.groute.steiner_oracle import path_composition_steiner_tree

@@ -20,12 +20,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.chip.design import Chip
 from repro.droute.space import RoutingSpace
 from repro.geometry.l1 import rect_l2_gap, run_length
-from repro.geometry.polygon import boundary_edges, merge_rects, rectilinear_area
+from repro.geometry.polygon import boundary_edges, rectilinear_area
 from repro.geometry.rect import Rect
-from repro.tech.wiring import ShapeKind
 from repro.util.unionfind import UnionFind
 
 

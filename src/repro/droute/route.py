@@ -8,7 +8,7 @@ the paper's tables: wire length and via count.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.geometry.rect import Rect
 from repro.tech.wiring import StickFigure

@@ -18,9 +18,9 @@ violations that need extra space are avoided "as much as possible").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.droute.route import NetRoute, ViaInstance
+from repro.droute.route import NetRoute
 from repro.droute.space import RoutingSpace
 from repro.geometry.polygon import rectilinear_area
 from repro.geometry.rect import Rect

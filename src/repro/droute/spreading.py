@@ -16,7 +16,7 @@ penalty applies (capacity is needed more than spacing).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.groute.graph import GlobalRoutingGraph
 from repro.grid.trackgraph import TrackGraph

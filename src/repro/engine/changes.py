@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.chip.design import Chip
 from repro.chip.net import Net, Pin
 from repro.geometry.rect import Rect
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import resource
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.chip.design import Chip
 from repro.drc.checker import DrcChecker, DrcReport
 from repro.droute.space import RoutingSpace
 from repro.obs import OBS

@@ -9,7 +9,7 @@ coordinates and refines it; the exact small-net Steiner solver in
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.geometry.rect import Rect
 

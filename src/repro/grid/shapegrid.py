@@ -23,7 +23,6 @@ from repro.geometry.rect import Rect
 from repro.grid.cellconfig import (
     EMPTY_CONFIG_ID,
     CellShape,
-    Config,
     ConfigTable,
 )
 from repro.obs import OBS

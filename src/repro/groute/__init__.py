@@ -9,9 +9,10 @@
   functions gamma (space / power / yield, Fig. 1) with optimal
   extra-space assignment (Eq. 1);
 * :mod:`repro.groute.steiner_oracle` - the block oracle: Algorithm 1
-  (path composition Steiner trees) over goal-oriented Dijkstra;
+  (path composition Steiner trees) over plain Dijkstra;
 * :mod:`repro.groute.sharing` - the min-max resource sharing FPTAS
-  (Algorithm 2, Mueller-Radke-Vygen);
+  (Algorithm 2, Mueller-Radke-Vygen), with the block simulation of
+  its parallel version (Sec. 5.1);
 * :mod:`repro.groute.rounding` - randomized rounding plus
   rip-up-and-reroute postprocessing (Sec. 2.4);
 * :mod:`repro.groute.router` - the GlobalRouter facade producing

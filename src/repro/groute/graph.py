@@ -10,7 +10,7 @@ tiles they would block too many tracks).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.chip.design import Chip
 from repro.chip.net import Net, Pin

@@ -15,6 +15,16 @@ Speed-ups from the paper implemented:
   cost under current prices is still within a factor of its original
   cost (the resources it uses have not become much more expensive);
 * prices are maintained as logarithms to avoid overflow with large t.
+
+``threads`` > 1 simulates the shared-memory parallel resource sharing of
+Sec. 5.1: several threads run oracles against the *same* prices, which
+are stale by up to one block of concurrent work.  Mueller et al. [2011]
+prove the volatility-tolerant block solvers keep the approximation
+guarantee.  The simulation reproduces the staleness deterministically:
+each phase walks the nets in blocks of ``threads``; every oracle of a
+block sees one price snapshot, and the block's price updates are
+applied only after it completes.  A block of one net is the serial
+algorithm.
 """
 
 from __future__ import annotations
@@ -82,57 +92,33 @@ class FractionalSolution:
 class ResourceSharingSolver:
     """Algorithm 2 over the global routing graph."""
 
+    #: Reuse the previous solution while its current-price cost is
+    #: below reuse_threshold x its cost when it was computed.
+    reuse_threshold = 1.5
+
     def __init__(
         self,
         graph: GlobalRoutingGraph,
         model: ResourceModel,
         phases: int = 125,
-        reuse_threshold: float = 1.5,
-        use_landmarks: bool = False,
-        landmark_count: int = 4,
+        threads: int = 1,
         fault_injector=None,
         initial_log_prices: Optional[Dict[object, float]] = None,
     ) -> None:
         self.graph = graph
         self.model = model
         self.phases = phases
+        #: Nets per block sharing one price snapshot (Sec. 5.1).
+        self.threads = max(threads, 1)
         #: Optional :class:`repro.flow.faults.FaultInjector` probed at the
         #: "steiner_oracle" site before each oracle call.
         self.fault_injector = fault_injector
-        #: Reuse the previous solution while its current-price cost is
-        #: below reuse_threshold x its cost when it was computed.
-        self.reuse_threshold = reuse_threshold
-        # Goal orientation with landmarks (Sec. 2.2): ALT potentials under
-        # the unpriced length metric, scaled by the minimum per-length
-        # price (y_wirelength >= 1 throughout Algorithm 2) to stay
-        # admissible against priced edge costs.
-        self._landmarks = None
-        if use_landmarks:
-            from repro.groute.landmarks import LandmarkOracle
-
-            self._landmarks = LandmarkOracle(graph, landmark_count)
         # Log-prices: resource -> ln(y_r); edges keyed by Edge, globals by
         # name.  Initialized to ln(1) = 0 (Algorithm 2, line 1), or to a
         # previous run's final duals for warm-started incremental solves —
         # the old prices already encode where the chip is congested, so
         # far fewer phases reach a good average.
         self._log_price: Dict[object, float] = dict(initial_log_prices or {})
-
-    def _potential_factory(self):
-        if self._landmarks is None:
-            return None
-        scale = 1.0 / self.model.bounds["wirelength"]
-        landmarks = self._landmarks
-
-        def factory(targets):
-            base = landmarks.potential_to(sorted(targets))
-
-            def potential(node):
-                return base(node) * scale
-
-            return potential
-
-        return factory
 
     # ------------------------------------------------------------------
     # Prices
@@ -146,10 +132,10 @@ class ResourceSharingSolver:
     def _edge_cost_fn(self):
         """The oracle's edge cost under the current prices, and its memos.
 
-        Prices stay fixed for the closure's lifetime (one oracle call in
-        :meth:`solve`, one block in :func:`solve_parallel_simulated`), so
-        each (net, edge) price is computed once, and each spacing search
-        once per (space price, length) (:data:`SpacingMemo`).
+        Prices stay fixed for the closure's lifetime (one block of
+        :meth:`solve`), so each (net, edge) price is computed once, and
+        each spacing search once per (space price, length)
+        (:data:`SpacingMemo`).
         ``len(memo)`` counts the prices computed and ``len(spacing)``
         the searches run.  The price key holds the net because a
         block's closure serves several nets.
@@ -228,7 +214,6 @@ class ResourceSharingSolver:
         #: One adjacency table for the whole solve: capacities do not
         #: change inside it.
         adjacency: Adjacency = {}
-        potential_factory = self._potential_factory()
         for _phase in range(self.phases):
             if deadline is not None and deadline.expired:
                 # Degrade gracefully: average over the phases completed
@@ -238,69 +223,82 @@ class ResourceSharingSolver:
                     OBS.event("sharing.deadline_hit", phase=solution.phases_run)
                 break
             solution.phases_run += 1
-            for net in nets:
-                key = None
-                cached = previous.get(net.name)
-                if cached is not None:
-                    cached_key, usages, cached_cost = cached
-                    current_cost = self._solution_price(usages)
-                    if current_cost <= self.reuse_threshold * cached_cost:
-                        key = cached_key
-                        solution.oracle_reuses += 1
-                if key is None:
-                    edge_cost, prices_computed, searches = self._edge_cost_fn()
-                    start = time.time()
-                    try:
-                        if self.fault_injector is not None:
-                            self.fault_injector.check(
-                                "steiner_oracle", net=net.name
+            for block_start in range(0, len(nets), self.threads):
+                # One price snapshot for the whole block (the concurrent
+                # reads), taken at its first oracle call.
+                edge_cost = None
+                block_usages: List[Usages] = []
+                for net in nets[block_start:block_start + self.threads]:
+                    key = None
+                    cached = previous.get(net.name)
+                    if cached is not None:
+                        cached_key, usages, cached_cost = cached
+                        current_cost = self._solution_price(usages)
+                        if current_cost <= self.reuse_threshold * cached_cost:
+                            key = cached_key
+                            solution.oracle_reuses += 1
+                    if key is None:
+                        if edge_cost is None:
+                            edge_cost, prices_computed, searches = (
+                                self._edge_cost_fn()
                             )
-                        result = path_composition_steiner_tree(
-                            self.graph,
-                            net.name,
-                            terminals[net.name],
-                            edge_cost,
-                            potential_factory=potential_factory,
-                            adjacency=adjacency,
+                        start = time.time()
+                        try:
+                            if self.fault_injector is not None:
+                                self.fault_injector.check(
+                                    "steiner_oracle", net=net.name
+                                )
+                            result = path_composition_steiner_tree(
+                                self.graph,
+                                net.name,
+                                terminals[net.name],
+                                edge_cost,
+                                adjacency=adjacency,
+                            )
+                        except Exception:  # noqa: BLE001 - per-net isolation
+                            # A faulting oracle costs the net one phase;
+                            # the remaining phases (and its cached
+                            # solution, if any) still contribute to the
+                            # average.
+                            solution.oracle_faults += 1
+                            result = None
+                        solution.oracle_time += time.time() - start
+                        solution.oracle_calls += 1
+                        if result is None:
+                            continue
+                        key = _solution_key(result)
+                        usages = self._usages(net.name, key)
+                        previous[net.name] = (
+                            key, usages, self._solution_price(usages)
                         )
-                    except Exception:  # noqa: BLE001 - per-net isolation
-                        # A faulting oracle costs the net one phase; the
-                        # remaining phases (and its cached solution, if
-                        # any) still contribute to the average.
-                        solution.oracle_faults += 1
-                        result = None
-                    solution.oracle_time += time.time() - start
-                    solution.oracle_calls += 1
+                    counts[net.name][key] = counts[net.name].get(key, 0) + 1
+                    block_usages.append(usages)
+                if edge_cost is not None and OBS.enabled:
+                    OBS.count("sharing.edge_prices", len(prices_computed))
+                    OBS.count("sharing.spacing_searches", len(searches))
+                # Price update (Algorithm 2, line 7), after the block.
+                for edge_usage, global_usage in block_usages:
+                    for edge, usage in edge_usage.items():
+                        if usage > 0:
+                            self._log_price[edge] = (
+                                self._log_price.get(edge, 0.0)
+                                + EPSILON * usage
+                            )
+                    for name, usage in global_usage.items():
+                        if usage > 0:
+                            self._log_price[name] = (
+                                self._log_price.get(name, 0.0)
+                                + EPSILON * usage
+                            )
                     if OBS.enabled:
-                        OBS.count("sharing.edge_prices", len(prices_computed))
-                        OBS.count("sharing.spacing_searches", len(searches))
-                    if result is None:
-                        continue
-                    key = _solution_key(result)
-                    usages = self._usages(net.name, key)
-                    previous[net.name] = (key, usages, self._solution_price(usages))
-                counts[net.name][key] = counts[net.name].get(key, 0) + 1
-                # Price update (Algorithm 2, line 7).
-                edge_usage, global_usage = usages
-                for edge, usage in edge_usage.items():
-                    if usage > 0:
-                        self._log_price[edge] = (
-                            self._log_price.get(edge, 0.0) + EPSILON * usage
-                        )
-                for name, usage in global_usage.items():
-                    if usage > 0:
-                        self._log_price[name] = (
-                            self._log_price.get(name, 0.0) + EPSILON * usage
-                        )
-                if OBS.enabled:
-                    for resource, usage in edge_usage.items():
-                        running_usage[resource] = (
-                            running_usage.get(resource, 0.0) + usage
-                        )
-                    for resource, usage in global_usage.items():
-                        running_usage[resource] = (
-                            running_usage.get(resource, 0.0) + usage
-                        )
+                        for resource, usage in edge_usage.items():
+                            running_usage[resource] = (
+                                running_usage.get(resource, 0.0) + usage
+                            )
+                        for resource, usage in global_usage.items():
+                            running_usage[resource] = (
+                                running_usage.get(resource, 0.0) + usage
+                            )
             if OBS.enabled:
                 # Congestion of the running phase average: the per-phase
                 # lambda trajectory of Fig. 6-style convergence plots.
@@ -395,83 +393,3 @@ def solve_with_scaling(
     solver = ResourceSharingSolver(graph, model, phases=phases, **solver_kwargs)
     return solver.solve(nets), history
 
-
-def solve_parallel_simulated(
-    graph: GlobalRoutingGraph,
-    model: ResourceModel,
-    nets: Sequence[Net],
-    threads: int = 4,
-    phases: int = 40,
-    **solver_kwargs,
-) -> FractionalSolution:
-    """Simulate the shared-memory parallel resource sharing of Sec. 5.1.
-
-    In the parallel implementation several threads run oracles against
-    the *same* price vector concurrently; prices they read are stale by
-    up to one block of concurrent work.  Mueller et al. [2011] prove the
-    volatility-tolerant block solvers keep the approximation guarantee.
-    This simulation reproduces the staleness deterministically: each
-    phase splits the nets into ``threads`` blocks; within a block every
-    oracle sees the same price snapshot, and the price updates of the
-    whole block are applied only after it completes.
-
-    Returns a FractionalSolution comparable to the serial solver's.
-    """
-    solver = ResourceSharingSolver(graph, model, phases=phases, **solver_kwargs)
-    solution = FractionalSolution()
-    counts: Dict[str, Dict[SolutionKey, int]] = {net.name: {} for net in nets}
-    terminals = {net.name: graph.net_terminals(net) for net in nets}
-    ordered = list(nets)
-    adjacency: Adjacency = {}
-    potential_factory = solver._potential_factory()
-    for phase in range(phases):
-        solution.phases_run += 1
-        for block_start in range(0, len(ordered), max(threads, 1)):
-            block = ordered[block_start:block_start + max(threads, 1)]
-            # One snapshot for the whole block: the concurrent reads.
-            edge_cost, prices_computed, searches = solver._edge_cost_fn()
-            block_updates = []
-            for net in block:
-                start = time.time()
-                result = path_composition_steiner_tree(
-                    graph, net.name, terminals[net.name], edge_cost,
-                    potential_factory=potential_factory,
-                    adjacency=adjacency,
-                )
-                solution.oracle_time += time.time() - start
-                solution.oracle_calls += 1
-                if result is None:
-                    continue
-                key = _solution_key(result)
-                counts[net.name][key] = counts[net.name].get(key, 0) + 1
-                block_updates.append((net.name, key))
-            if OBS.enabled:
-                OBS.count("sharing.edge_prices", len(prices_computed))
-                OBS.count("sharing.spacing_searches", len(searches))
-            # Prices advance only after the block (batched writes).
-            for net_name, key in block_updates:
-                edge_usage, global_usage = solver._usages(net_name, key)
-                for edge, usage in edge_usage.items():
-                    if usage > 0:
-                        solver._log_price[edge] = (
-                            solver._log_price.get(edge, 0.0)
-                            + EPSILON * usage
-                        )
-                for name, usage in global_usage.items():
-                    if usage > 0:
-                        solver._log_price[name] = (
-                            solver._log_price.get(name, 0.0)
-                            + EPSILON * usage
-                        )
-    for net_name, net_counts in counts.items():
-        total = sum(net_counts.values())
-        if total:
-            solution.weights[net_name] = {
-                key: count / total for key, count in net_counts.items()
-            }
-    solution.prices = {
-        resource: math.exp(value)
-        for resource, value in solver._log_price.items()
-    }
-    solution.max_congestion = solver.fractional_congestion(solution)
-    return solution

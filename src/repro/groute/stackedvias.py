@@ -16,7 +16,6 @@ the lattice rows and derives the expected column load, exposed as
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from typing import Dict, List, Tuple
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import gc
 import os
 import sys
-from typing import Optional
 
 try:
     import resource as _rusage

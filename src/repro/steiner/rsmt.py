@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 Point = Tuple[int, int]
 

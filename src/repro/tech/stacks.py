@@ -10,7 +10,7 @@ coordinates are database units (1 dbu ~ 1 nm).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.geometry.rect import Rect
 from repro.tech.layers import Direction, Layer, LayerStack

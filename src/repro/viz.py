@@ -11,7 +11,7 @@ through nets' wires, ``+`` via landing, ``*`` overlap of several nets
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.droute.space import RoutingSpace
 from repro.geometry.rect import Rect

@@ -9,9 +9,11 @@ from repro.groute.capacity import estimate_capacities
 from repro.groute.graph import GlobalRoutingGraph
 from repro.groute.resources import ResourceModel
 from repro.groute.sharing import (
+    EPSILON,
     ResourceSharingSolver,
-    solve_parallel_simulated,
+    _solution_key,
 )
+from repro.groute.steiner_oracle import path_composition_steiner_tree
 
 
 class TestCli:
@@ -78,57 +80,50 @@ class TestParallelSharing:
         meaningfully compared to strictly serial updates.
         """
         graph, model, routable = setup
-        serial = ResourceSharingSolver(
-            graph, model, phases=10, reuse_threshold=1.0
+        serial = ResourceSharingSolver(graph, model, phases=10)
+        serial.reuse_threshold = 1.0
+        serial = serial.solve(routable)
+        parallel = ResourceSharingSolver(
+            graph, model, phases=10, threads=4
         ).solve(routable)
-        parallel = solve_parallel_simulated(
-            graph, model, routable, threads=4, phases=10
-        )
         assert parallel.max_congestion <= serial.max_congestion * 1.15
 
     def test_weights_are_distributions(self, setup):
         graph, model, routable = setup
-        parallel = solve_parallel_simulated(
-            graph, model, routable, threads=3, phases=6
-        )
+        parallel = ResourceSharingSolver(
+            graph, model, phases=6, threads=3
+        ).solve(routable)
         for net in routable:
             weights = parallel.weights[net.name]
             assert abs(sum(weights.values()) - 1.0) < 1e-9
 
-    def test_landmarks_reach_the_oracle(self, setup, monkeypatch):
-        """``use_landmarks=True`` hands the landmark potentials to every
-        oracle call of the simulation, as in the serial solver."""
+    def test_one_block_reads_the_initial_prices(self, setup):
+        """With every net in one block, each oracle sees the initial
+        prices and the prices move only after the block: each net's
+        solution is its oracle tree under those prices, and the final
+        log-prices are EPSILON times the block's summed usages."""
         graph, model, routable = setup
-        factory_of = ResourceSharingSolver._potential_factory
-        target_sets = []
-
-        def spying(solver):
-            factory = factory_of(solver)
-            assert factory is not None
-
-            def spy(targets):
-                target_sets.append(frozenset(targets))
-                return factory(targets)
-
-            return spy
-
-        monkeypatch.setattr(ResourceSharingSolver, "_potential_factory", spying)
-        parallel = solve_parallel_simulated(
-            graph, model, routable, threads=2, phases=2,
-            use_landmarks=True, landmark_count=3,
+        initial = ResourceSharingSolver(graph, model)
+        edge_cost, _memo, _spacing = initial._edge_cost_fn()
+        expected = {}
+        log_prices = {}
+        for net in routable:
+            tree = path_composition_steiner_tree(
+                graph, net.name, graph.net_terminals(net), edge_cost
+            )
+            key = _solution_key(tree)
+            expected[net.name] = {key: 1.0}
+            edge_usage, global_usage = initial._usages(net.name, key)
+            for usages in (edge_usage, global_usage):
+                for resource, usage in usages.items():
+                    if usage > 0:
+                        log_prices[resource] = (
+                            log_prices.get(resource, 0.0) + EPSILON * usage
+                        )
+        solver = ResourceSharingSolver(
+            graph, model, phases=1, threads=len(routable)
         )
-        assert parallel.oracle_calls > 0
-        # At least one target set per oracle call of a multi-pin net.
-        assert len(target_sets) >= parallel.oracle_calls
-
-    def test_single_thread_equals_serial_structure(self, setup):
-        graph, model, routable = setup
-        one = solve_parallel_simulated(
-            graph, model, routable, threads=1, phases=5
-        )
-        serial = ResourceSharingSolver(
-            graph, model, phases=5, reuse_threshold=1.0
-        ).solve(routable)
-        # threads=1 applies updates net by net - identical to the serial
-        # algorithm, so the fractional solutions must coincide.
-        assert one.weights == serial.weights
+        fractional = solver.solve(routable)
+        assert fractional.oracle_calls == len(routable)
+        assert fractional.weights == expected
+        assert solver._log_price == log_prices

@@ -1,24 +1,19 @@
-"""Tests for the global routing extensions: landmarks (Sec. 2.2),
-the lambda scaling framework (Sec. 2.3), per-net detour bounds (Sec. 2.1)
-and wire spreading (Sec. 4.2)."""
-
-import random
+"""Tests for the global routing extensions: the lambda scaling framework
+(Sec. 2.3), per-net detour bounds (Sec. 2.1) and wire spreading
+(Sec. 4.2)."""
 
 import pytest
 
 from repro.chip.generator import ChipSpec, generate_chip
-from repro.chip.net import Net
 from repro.droute.router import DetailedRouter
 from repro.droute.space import RoutingSpace
 from repro.droute.spreading import WireSpreading
 from repro.grid.tracks import build_track_plan
 from repro.groute.capacity import estimate_capacities
 from repro.groute.graph import GlobalRoutingGraph
-from repro.groute.landmarks import LandmarkOracle
 from repro.groute.resources import ResourceModel
 from repro.groute.router import GlobalRouter
 from repro.groute.sharing import ResourceSharingSolver, solve_with_scaling
-from repro.groute.steiner_oracle import path_composition_steiner_tree
 
 
 @pytest.fixture(scope="module")
@@ -29,70 +24,6 @@ def setup():
     graph = GlobalRoutingGraph(chip)
     estimate_capacities(graph, build_track_plan(chip))
     return chip, graph
-
-
-class TestLandmarks:
-    def test_landmark_count(self, setup):
-        _chip, graph = setup
-        oracle = LandmarkOracle(graph, landmark_count=3)
-        assert len(oracle.landmarks) == 3
-
-    def test_potential_zero_at_targets(self, setup):
-        _chip, graph = setup
-        oracle = LandmarkOracle(graph, landmark_count=3)
-        targets = [(1, 1, 3), (2, 2, 4)]
-        pi = oracle.potential_to(targets)
-        for t in targets:
-            assert pi(t) <= 1e-9
-
-    def test_lower_bound_admissible(self, setup):
-        """pi(v) must never exceed the true lower-bound-metric distance."""
-        _chip, graph = setup
-        oracle = LandmarkOracle(graph, landmark_count=4)
-        rng = random.Random(9)
-
-        def true_distance(source, target):
-            # Dijkstra under the same lower-bound metric.
-            import heapq
-
-            dist = {source: 0.0}
-            heap = [(0.0, source)]
-            while heap:
-                d, node = heapq.heappop(heap)
-                if node == target:
-                    return d
-                if d > dist.get(node, float("inf")):
-                    continue
-                for neighbour, edge in graph.neighbors(node):
-                    if graph.capacity(edge) <= 0:
-                        continue
-                    nd = d + graph.edge_length(edge)
-                    if nd < dist.get(neighbour, float("inf")):
-                        dist[neighbour] = nd
-                        heapq.heappush(heap, (nd, neighbour))
-            return None
-
-        nodes = [
-            (rng.randrange(graph.nx), rng.randrange(graph.ny),
-             rng.choice(graph.chip.stack.indices))
-            for _ in range(6)
-        ]
-        for source in nodes[:3]:
-            for target in nodes[3:]:
-                true = true_distance(source, target)
-                if true is None:
-                    continue
-                assert oracle.lower_bound(source, target) <= true + 1e-6
-
-    def test_solver_with_landmarks_same_quality(self, setup):
-        chip, graph = setup
-        model = ResourceModel(graph, chip.nets)
-        routable = [n for n in chip.nets if not graph.is_local_net(n)]
-        plain = ResourceSharingSolver(graph, model, phases=8).solve(routable)
-        with_alt = ResourceSharingSolver(
-            graph, model, phases=8, use_landmarks=True, landmark_count=3
-        ).solve(routable)
-        assert with_alt.max_congestion <= plain.max_congestion * 1.1
 
 
 class TestScalingFramework:

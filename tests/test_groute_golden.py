@@ -11,8 +11,8 @@ the oracle call and reuse counts:
 * a chip with wide nets and a ``detour_bound`` net;
 * :meth:`GlobalRouter.run_incremental` warm-started from a full run;
 * :func:`solve_with_scaling` from a 10x too tight wirelength bound;
-* :func:`solve_parallel_simulated` with ``threads=4`` (one price
-  snapshot shared by the nets of a block).
+* :meth:`ResourceSharingSolver.solve` with ``threads=4`` (one price
+  snapshot shared by the nets of a block, Sec. 5.1).
 
 The solver-only runs are rounded and repaired with seed 1 so that every
 run has routes.  The digests do not depend on ``PYTHONHASHSEED``.
@@ -32,7 +32,7 @@ from repro.chip.generator import ChipSpec, generate_chip
 from repro.groute.resources import ResourceModel
 from repro.groute.rounding import RoundingPostprocessor
 from repro.groute.router import GlobalRouter
-from repro.groute.sharing import solve_parallel_simulated, solve_with_scaling
+from repro.groute.sharing import ResourceSharingSolver, solve_with_scaling
 
 GOLDEN_FIXTURE = os.path.join(os.path.dirname(__file__), "groute_golden.json")
 
@@ -167,9 +167,9 @@ def run_scaling(seed):
 def run_parallel(seed):
     router = GlobalRouter(small_chip(seed), phases=PHASES, seed=1)
     routable = _routable(router)
-    fractional = solve_parallel_simulated(
-        router.graph, router.model, routable, threads=4, phases=PHASES
-    )
+    fractional = ResourceSharingSolver(
+        router.graph, router.model, phases=PHASES, threads=4
+    ).solve(routable)
     return _rounded_record(router, fractional, routable)
 
 

@@ -19,10 +19,9 @@ from repro.groute.resources import (
 )
 from repro.groute.rounding import RoundingPostprocessor
 from repro.groute.router import GlobalRouter
-from repro.groute.sharing import ResourceSharingSolver, solve_parallel_simulated
+from repro.groute.sharing import ResourceSharingSolver
 from repro.groute.steiner_oracle import path_composition_steiner_tree
 from repro.obs import OBS
-from repro.steiner.rsmt import steiner_length
 from repro.util.unionfind import UnionFind
 
 
@@ -309,18 +308,6 @@ class TestSteinerOracle:
         for terminal in terminals:
             assert terminal & tree_nodes or len(terminals) == 1
 
-    def test_goal_orientation_reduces_labels(self, setup):
-        chip, graph, _model = setup
-        terminals = [{(0, 0, 3)}, {(graph.nx - 1, graph.ny - 1, 4)}]
-        blind = path_composition_steiner_tree(
-            graph, "t", terminals, self._cost_fn(graph), potential_scale=0.0
-        )
-        oriented = path_composition_steiner_tree(
-            graph, "t", terminals, self._cost_fn(graph), potential_scale=1.0
-        )
-        assert blind.cost == pytest.approx(oriented.cost)
-        assert oriented.dijkstra_labels <= blind.dijkstra_labels
-
 
 class TestResourceSharing:
     def test_lambda_near_one_on_feasible_instance(self, setup):
@@ -372,7 +359,7 @@ class TestResourceSharing:
         self, setup, monkeypatch, parallel
     ):
         """Each Eq. 1 spacing search runs once per (space price, length)
-        and oracle call (one block in the parallel simulation), and
+        and block of oracle calls (one call with ``threads=1``), and
         ``sharing.spacing_searches`` counts exactly the searches run."""
         chip, graph, _model = setup
         model = ResourceModel(graph, chip.nets)
@@ -388,10 +375,10 @@ class TestResourceSharing:
         OBS.reset()
         OBS.configure(enabled=True)
         try:
-            if parallel:
-                solve_parallel_simulated(graph, model, routable, phases=3)
-            else:
-                ResourceSharingSolver(graph, model, phases=3).solve(routable)
+            threads = 4 if parallel else 1
+            ResourceSharingSolver(
+                graph, model, phases=3, threads=threads
+            ).solve(routable)
             counted = OBS.counters.get("sharing.spacing_searches")
             prices = OBS.counters.get("sharing.edge_prices")
         finally:
@@ -403,12 +390,12 @@ class TestResourceSharing:
     def test_reuse_speeds_up_without_hurting(self, setup):
         chip, graph, model = setup
         routable = [n for n in chip.nets if not graph.is_local_net(n)]
-        strict = ResourceSharingSolver(
-            graph, model, phases=10, reuse_threshold=1.0
-        ).solve(routable)
-        loose = ResourceSharingSolver(
-            graph, model, phases=10, reuse_threshold=2.5
-        ).solve(routable)
+        strict = ResourceSharingSolver(graph, model, phases=10)
+        strict.reuse_threshold = 1.0
+        strict = strict.solve(routable)
+        loose = ResourceSharingSolver(graph, model, phases=10)
+        loose.reuse_threshold = 2.5
+        loose = loose.solve(routable)
         assert loose.oracle_calls <= strict.oracle_calls
         assert loose.max_congestion <= strict.max_congestion * 1.3
 

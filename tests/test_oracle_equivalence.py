@@ -1,13 +1,12 @@
 """The Alg 1 oracle against a verbatim copy of its AddressableHeap version.
 
 The oracle's Dijkstra reads a shared adjacency table of usable edges,
-skips the potential when it is identically zero, runs on a
-:class:`repro.util.heap.StateHeap` and prices edges through a
-spacing-search memo.  None of that may change a result: over seeded
-random small chips, random log-prices, capacities forced to 0,
-multi-node terminals, goal orientation off, consistent and
-inconsistent, landmarks, and an ISR-style 2D shim graph, the edges,
-extra spaces, cost and label count must equal the reference's exactly.
+has no potential, runs on a :class:`repro.util.heap.StateHeap` and
+prices edges through a spacing-search memo.  None of that may change a
+result: over seeded random small chips, random log-prices, capacities
+forced to 0, multi-node terminals and an ISR-style 2D shim graph, the
+edges, extra spaces, cost and label count must equal the reference's
+(run at zero potential) exactly.
 """
 
 import math
@@ -24,36 +23,16 @@ from repro.groute.graph import GlobalRoutingGraph
 from repro.groute.resources import ResourceModel
 from repro.groute.sharing import ResourceSharingSolver
 from repro.groute.steiner_oracle import OracleResult, path_composition_steiner_tree
-from repro.util.heap import AddressableHeap as _AddressableHeap
+from repro.util.heap import AddressableHeap
 
 INFINITY = float("inf")
 TRIALS = 30
 
 
-class AddressableHeap(_AddressableHeap):
-    """The reference's heap, counting pushes of already popped items
-    (a settled node whose label an inconsistent potential lowers)."""
-
-    reopened = 0
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._popped = set()
-
-    def push(self, item, priority):
-        if item in self._popped and item not in self._index:
-            AddressableHeap.reopened += 1
-        super().push(item, priority)
-
-    def pop(self):
-        item, priority = super().pop()
-        self._popped.add(item)
-        return item, priority
-
-
 # ----------------------------------------------------------------------
 # Reference: the oracle as it was before the adjacency table, the
-# zero-potential fast path and the StateHeap frontier (verbatim).
+# removal of the goal-orientation potential and the StateHeap frontier
+# (verbatim).
 # ----------------------------------------------------------------------
 def _terminal_potential(graph, other_terminals, scale):
     boxes: List[Tuple[int, int, int, int]] = []
@@ -256,12 +235,8 @@ def test_oracle_matches_reference_on_priced_graph(seed):
     nodes = list(graph.nodes())
     nets = list(chip.nets)
     model = ResourceModel(graph, nets)
-    landmarks = ResourceSharingSolver(
-        graph, model, use_landmarks=True, landmark_count=3
-    )
     # One adjacency table for every call: the capacities stay fixed.
     adjacency: Dict = {}
-    reopened_before = AddressableHeap.reopened
     compared = 0
     for trial in range(40):
         log_prices = {
@@ -277,35 +252,15 @@ def test_oracle_matches_reference_on_priced_graph(seed):
             terminals = _random_terminals(rng, nodes)
         else:
             terminals = graph.net_terminals(net)
-        scale = rng.choice((0.0, 1e-6, 1e-3, 1.0))
-        if trial % 3 == 0:
-            factory = landmarks._potential_factory()
-        elif trial % 3 == 1:
-            factory = None
-        else:
-            # Random node potentials of the order of an edge cost: far
-            # from consistent, so settled nodes get pushed again.
-            typical = sorted(
-                edge_cost(net.name, edge)[0]
-                for edge in rng.sample(sorted(graph.capacities), 20)
-            )[10]
-            noise = {node: rng.randint(0, 4) * typical for node in nodes}
-
-            def factory(_targets, noise=noise):
-                return noise.__getitem__
         expected = reference_steiner_tree(
-            graph, net.name, terminals, _reference_edge_cost(solver),
-            scale, potential_factory=factory,
+            graph, net.name, terminals, _reference_edge_cost(solver)
         )
         got = path_composition_steiner_tree(
-            graph, net.name, terminals, edge_cost, scale,
-            potential_factory=factory, adjacency=adjacency,
+            graph, net.name, terminals, edge_cost, adjacency=adjacency
         )
         assert _fingerprint(got) == _fingerprint(expected)
         compared += expected is not None and bool(expected.edges)
     assert compared > 10
-    # The random potentials re-open settled nodes.
-    assert AddressableHeap.reopened > reopened_before
 
 
 @pytest.mark.parametrize("seed", [4, 5])
@@ -313,7 +268,7 @@ def test_oracle_matches_reference_on_isr_shim(seed):
     _chip_obj, graph = _chip(seed)
     rng = random.Random(200 + seed)
     grid = _Grid2D(graph)
-    # Few distinct costs and potentials: many equal keys in the heap.
+    # Few distinct costs: many equal keys in the heap.
     history = {edge: rng.choice((0.0, 0.0, 1.0, 2.0)) for edge in grid.capacity}
     usage = {edge: rng.choice((0.0, 0.0, 0.0, 50.0)) for edge in grid.capacity}
 
@@ -349,21 +304,8 @@ def test_oracle_matches_reference_on_isr_shim(seed):
         return length * (1.0 + history.get(edge, 0.0)) * present, 0.0
 
     nodes = [(tx, ty) for tx in range(graph.nx) for ty in range(graph.ny)]
-    for trial in range(TRIALS):
+    for _trial in range(TRIALS):
         terminals = _random_terminals(rng, nodes)
-        scale = rng.choice((0.0, 1.0))
-        factory = None
-        if trial % 2:
-            noise = {
-                node: float(rng.randint(0, 6) * graph.tile_size) for node in nodes
-            }
-
-            def factory(_targets, noise=noise):
-                return noise.__getitem__
-        expected = reference_steiner_tree(
-            Shim, "n", terminals, edge_cost, scale, potential_factory=factory
-        )
-        got = path_composition_steiner_tree(
-            Shim, "n", terminals, edge_cost, scale, potential_factory=factory
-        )
+        expected = reference_steiner_tree(Shim, "n", terminals, edge_cost)
+        got = path_composition_steiner_tree(Shim, "n", terminals, edge_cost)
         assert _fingerprint(got) == _fingerprint(expected)
