@@ -8,8 +8,6 @@ The bench runs identical searches under all three potentials and
 compares labelling work; all three must return identical optimal costs.
 """
 
-import pytest
-
 from benchmarks.common import print_table
 from repro.chip.generator import ChipSpec, generate_chip
 from repro.droute.area import RoutingArea

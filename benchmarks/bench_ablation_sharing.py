@@ -7,8 +7,6 @@
    (Sec. 2.1's motivation for the convex gamma model).
 """
 
-import pytest
-
 from benchmarks.common import print_table
 from repro.chip.generator import ChipSpec, generate_chip
 from repro.grid.tracks import build_track_plan

@@ -7,8 +7,6 @@ the same sparse chip with and without the spreading penalties and counts
 adjacent tracks - as the yield/coupling proxy.
 """
 
-import pytest
-
 from benchmarks.common import print_table
 from repro.chip.generator import ChipSpec, generate_chip
 from repro.droute.router import DetailedRouter

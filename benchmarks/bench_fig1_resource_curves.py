@@ -6,8 +6,6 @@ decreasing convex), and space consumption (solid, linear increasing).
 The bench regenerates the three series and verifies their shapes.
 """
 
-import pytest
-
 from benchmarks.common import print_table
 from repro.groute.resources import power_usage, space_usage, yield_loss
 

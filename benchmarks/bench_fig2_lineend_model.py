@@ -10,11 +10,8 @@ wires joined by a jog, plus a via) and measures exactly that: extension
 area that sticks out vs extension area swallowed by adjacent shapes.
 """
 
-import pytest
-
 from benchmarks.common import print_table
 from repro.geometry.polygon import rectilinear_area
-from repro.tech.layers import Direction
 from repro.tech.stacks import LINE_END_EXTRA, example_stack, example_wiretypes
 from repro.tech.wiring import StickFigure
 

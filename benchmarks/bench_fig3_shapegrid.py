@@ -9,8 +9,6 @@ below the number of covered cells, and grows only mildly when the same
 pattern is stamped many times.
 """
 
-import pytest
-
 from benchmarks.common import print_table
 from repro.geometry.rect import Rect
 from repro.grid.shapegrid import ShapeGrid

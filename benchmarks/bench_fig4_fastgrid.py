@@ -11,8 +11,6 @@ The bench reproduces all three mechanisms on one track crossing an
 on-track obstacle and an off-track blob.
 """
 
-import pytest
-
 from benchmarks.common import print_table
 from repro.chip.generator import ChipSpec, generate_chip
 from repro.droute.space import RoutingSpace

@@ -9,8 +9,6 @@ tau with obstacles around - and compares the unconstrained (tau=1)
 shortest path against the tau-feasible one.
 """
 
-import pytest
-
 from benchmarks.common import print_table
 from repro.geometry.rect import Rect
 from repro.grid.blockgrid import BlockageGrid, min_segment_length

@@ -10,8 +10,6 @@ different tracks with unusable vertex runs in between - and compares
 interval vs node labelling on the exact same graph view.
 """
 
-import pytest
-
 from benchmarks.common import print_table
 from repro.chip.generator import ChipSpec, generate_chip
 from repro.droute.area import RoutingArea

@@ -11,8 +11,6 @@ covers all pins, and checks the chosen solution scores at least as well
 as any greedy one.
 """
 
-import pytest
-
 from benchmarks.common import print_table
 from repro.chip.cells import CellTemplate, CircuitInstance
 from repro.chip.design import Chip

@@ -11,8 +11,6 @@ reports hit rate and wall-clock ratio.
 
 import time
 
-import pytest
-
 from benchmarks.common import print_table
 from repro.chip.generator import ChipSpec, generate_chip
 from repro.droute.router import DetailedRouter

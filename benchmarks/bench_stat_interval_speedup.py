@@ -12,8 +12,6 @@ wall-clock; costs must match exactly on every query.
 import random
 import time
 
-import pytest
-
 from benchmarks.common import print_table
 from repro.chip.generator import ChipSpec, generate_chip
 from repro.droute.area import RoutingArea

@@ -9,8 +9,6 @@ Paper:
 * rip-up and reroute takes < 5 % of the global routing runtime.
 """
 
-import pytest
-
 from benchmarks.common import bench_specs, print_table
 from repro.chip.generator import generate_chip
 from repro.groute.router import GlobalRouter

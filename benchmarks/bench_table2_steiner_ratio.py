@@ -9,8 +9,6 @@ is 2 - 2/|W|, but much better in practice) and stay far below 2.  The
 bench reproduces the classes over the bench chips' global routes.
 """
 
-import pytest
-
 from benchmarks.common import (
     bench_observability,
     obs_work_counters,

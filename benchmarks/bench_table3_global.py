@@ -11,8 +11,6 @@ The bench regenerates these columns per chip plus the Alg. 2 / R&R
 runtime split.
 """
 
-import pytest
-
 from benchmarks.common import (
     bench_observability,
     obs_work_counters,

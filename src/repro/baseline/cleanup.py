@@ -12,12 +12,22 @@ finisher.  Only local changes are made:
 
 As in the paper, the cleanup often takes longer than BonnRoute itself
 despite touching only local windows (Sec. 5.3).
+
+**Replayed reroutes.**  A spacing reroute rips the victim and connects
+it again inside its window.  After the rip, ``connect_net`` reads only
+the other nets' wiring and the fixed shapes, the window, and the
+connector's ripup history; the victim's old wiring is gone.  So when
+the same victim is rerouted in the same window and no fix has changed
+the space since that reroute last ran, it would rebuild exactly the
+wiring already there.  :class:`DrcCleanup` then returns the stored
+outcome instead of rerunning it (counted as ``cleanup.reroutes_replayed``).
+A replayed reroute counts in the report as the run it repeats.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.drc.checker import DrcChecker, DrcReport, Violation
 from repro.droute.area import RoutingArea
@@ -25,9 +35,17 @@ from repro.droute.connect import NetConnector
 from repro.droute.pinaccess import PinAccessPlanner
 from repro.droute.samenet import _try_extend
 from repro.droute.space import RoutingSpace
+from repro.geometry.rect import Rect
+from repro.obs import OBS
 
 
 class CleanupReport:
+    """Fix counts of one :meth:`DrcCleanup.run`.
+
+    A replayed spacing reroute counts in ``fixed_spacing`` and
+    ``rerouted_nets`` exactly as the run it repeats.
+    """
+
     def __init__(self) -> None:
         self.fixed_min_segment = 0
         self.fixed_min_area = 0
@@ -61,6 +79,10 @@ class DrcCleanup:
         self.max_passes = max_passes
         self.planner = PinAccessPlanner(space)
         self.connector = NetConnector(space, planner=self.planner)
+        #: Fixes that changed the space so far in this run.
+        self._edits = 0
+        #: (victim, window) -> (edit count after that reroute, success).
+        self._reroutes: Dict[Tuple[str, Rect], Tuple[int, bool]] = {}
 
     # ------------------------------------------------------------------
     # Individual fixes
@@ -82,6 +104,7 @@ class DrcCleanup:
             if extended is not None and extended != stick:
                 self.space.remove_wire(net_name, stick)
                 self.space.add_wire(net_name, type_name, extended)
+                self._edits += 1
                 return True
         return False
 
@@ -108,6 +131,7 @@ class DrcCleanup:
             if extended is not None and extended != stick:
                 self.space.remove_wire(net_name, stick)
                 self.space.add_wire(net_name, type_name, extended)
+                self._edits += 1
                 return True
         return False
 
@@ -125,17 +149,48 @@ class DrcCleanup:
         net = nets_by_name.get(victim)
         if net is None or victim not in self.space.routes:
             return False
-        self.connector.rip_net(victim)
         # Local change only: reroute within a window around the violation,
         # widened by the net's own bounding box so its pins stay reachable.
         window = violation.rect.expanded(16 * self.chip.stack[1].pitch)
         window = window.hull(net.bounding_box().expanded(8 * self.chip.stack[1].pitch))
         clipped = window.intersection(self.chip.die) or self.chip.die
+        key = (victim, clipped)
+        replayed = self._replay(key)
+        if replayed is not None:
+            if OBS.enabled:
+                OBS.count("cleanup.reroutes_replayed")
+            return replayed
+        before = self._wiring(victim)
+        history = sum(self.connector.ripup_history.values())
+        self.connector.rip_net(victim)
         area = RoutingArea.from_boxes(
             [(z, clipped) for z in self.chip.stack.indices]
         )
         connection = self.connector.connect_net(net, area, max_ripup_level=-2)
+        # Ripped nets or a grown ripup history change the inputs of later
+        # reroutes beyond the victim's own wiring: never memoised.
+        side_effects = bool(connection.ripped_nets) or (
+            sum(self.connector.ripup_history.values()) != history
+        )
+        # The items carry ripup levels, so dropped reserved access wiring
+        # counts as a change.
+        if side_effects or self._wiring(victim) != before:
+            self._edits += 1
+        if not side_effects:
+            self._reroutes[key] = (self._edits, connection.success)
         return connection.success
+
+    def _wiring(self, net_name: str):
+        route = self.space.routes[net_name]
+        return route.wire_items(), route.via_items()
+
+    def _replay(self, key: Tuple[str, Rect]) -> Optional[bool]:
+        """The stored success of reroute ``key`` if nothing changed the
+        space since it last ran, else ``None``."""
+        entry = self._reroutes.get(key)
+        if entry is not None and entry[0] == self._edits:
+            return entry[1]
+        return None
 
     # ------------------------------------------------------------------
     # Main loop
@@ -143,6 +198,8 @@ class DrcCleanup:
     def run(self) -> CleanupReport:
         start = time.time()
         report = CleanupReport()
+        self._edits = 0
+        self._reroutes = {}
         nets_by_name = {net.name: net for net in self.chip.nets}
         for _pass in range(self.max_passes):
             checker = DrcChecker(self.space)

@@ -512,7 +512,7 @@ class NetConnector:
             for vertex in search_result.ripup_vertices:
                 self.ripup_history[vertex] = self.ripup_history.get(vertex, 0) + 1
             blockers = self._blockers_of_path(net, sticks, vias)
-            for blocker in blockers:
+            for blocker in sorted(blockers):
                 self.rip_net(blocker)
                 ripped_this_path.add(blocker)
             result.ripped_nets |= ripped_this_path
@@ -538,7 +538,7 @@ class NetConnector:
                     continue
                 # Fallback jumpers over removable foreign wiring rip
                 # that wiring out; the router requeues those nets.
-                for blocker in access.blockers:
+                for blocker in sorted(access.blockers):
                     if blocker == net.name:
                         continue
                     self.rip_net(blocker)

@@ -549,7 +549,7 @@ class DetailedRouter:
                         OBS.count(
                             "droute.ripup_events", len(connection.ripped_nets)
                         )
-                    for ripped_name in connection.ripped_nets:
+                    for ripped_name in sorted(connection.ripped_nets):
                         ripped_net = state.nets_by_name.get(ripped_name)
                         if ripped_net is None and self.session is not None:
                             # ECO pass: a clean net outside the dirty

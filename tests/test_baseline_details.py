@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baseline.isr_detailed import IsrDetailedRouter
-from repro.baseline.isr_global import IsrGlobalRouter, _Grid2D, _edge2d
+from repro.baseline.isr_global import IsrGlobalRouter, _Grid2D
 from repro.chip.generator import ChipSpec, generate_chip
 from repro.droute.space import RoutingSpace
 from repro.flow.stats import SCENIC_LENGTH_THRESHOLD, peak_memory_mb, scenic_nets

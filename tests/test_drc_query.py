@@ -6,7 +6,7 @@ from repro.geometry.rect import Rect
 from repro.grid.drc_query import DistanceRuleChecker
 from repro.grid.shapegrid import RIPUP_FIXED, RipupLevel, ShapeGrid
 from repro.tech.stacks import example_rules, example_stack, example_wiretypes
-from repro.tech.wiring import ShapeKind, StickFigure
+from repro.tech.wiring import ShapeKind
 
 
 @pytest.fixture

@@ -7,6 +7,9 @@ sorted wires and vias plus the failed set, ``retries`` and
 * the serial :class:`DetailedRouter` on the ``pooltest`` chip, chip
   seeds 11, 41 and 5;
 * the ISR baseline flow (:class:`IsrFlow`) on the same chips;
+* the ISR detailed router with track assignment on the seed-41
+  ``statpar`` chip, whose ripups re-queue several nets at once (the
+  re-queue order must not follow set iteration);
 * a :class:`BonnRouteFlow` run on the seed-11 chip, without and with
   DRC cleanup; the cleanup run also pins the :class:`CleanupReport`
   counts, so the window-restricted pi_GR reroutes of ``DrcCleanup`` are
@@ -27,6 +30,7 @@ import os
 
 import pytest
 
+from repro.baseline.isr_detailed import IsrDetailedRouter
 from repro.chip.generator import ChipSpec, generate_chip
 from repro.droute.router import DetailedRouter
 from repro.droute.space import RoutingSpace
@@ -80,6 +84,14 @@ def run_isr(seed):
     return _record(result.space, result.detailed_result)
 
 
+def run_isr_track_assignment(seed):
+    chip = generate_chip(
+        ChipSpec("statpar", rows=3, row_width_cells=7, net_count=14, seed=seed)
+    )
+    space = RoutingSpace(chip)
+    return _record(space, IsrDetailedRouter(space).run())
+
+
 def _flow_record(result):
     record = _record(result.space, result.detailed_result)
     if result.cleanup_report is not None:
@@ -105,6 +117,7 @@ def run_bonnroute_cleanup(seed):
 RUNS = dict(
     [(f"detailed_{s}", (run_detailed, s)) for s in CHIP_SEEDS]
     + [(f"isr_{s}", (run_isr, s)) for s in CHIP_SEEDS]
+    + [("isr_track_41", (run_isr_track_assignment, 41))]
     + [("bonnroute_11", (run_bonnroute, 11))]
     + [("bonnroute_cleanup_11", (run_bonnroute_cleanup, 11))]
 )

@@ -36,7 +36,6 @@ from repro.engine.dirty import (
     DirtyTracker,
 )
 from repro.engine.session import (
-    STATUS_PENDING,
     STATUS_ROUTED,
     RoutingSession,
 )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chip.generator import ChipSpec, TABLE_CHIP_SPECS, generate_chip
+from repro.chip.generator import ChipSpec, generate_chip
 from repro.grid.tracks import build_track_plan
 from repro.groute.capacity import (
     apply_intra_tile_reduction,

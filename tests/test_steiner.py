@@ -1,6 +1,5 @@
 """Tests for the Steiner-length baselines (the FLUTE stand-in)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -4,10 +4,9 @@ import pytest
 
 from repro.geometry.rect import Rect
 from repro.tech.layers import Direction, Layer, LayerStack
-from repro.tech.rules import RuleSet, SameNetRules, SpacingRule, ViaRule
+from repro.tech.rules import RuleSet, SameNetRules, SpacingRule
 from repro.tech.stacks import (
     LINE_END_EXTRA,
-    THIN_PITCH,
     THIN_WIDTH,
     example_rules,
     example_stack,
