@@ -176,15 +176,6 @@ class IsrGlobalRouter:
             return None
         return set(result.edges)
 
-    def _usage_of(
-        self, routes2d: Dict[str, Set[Edge2D]], width: Dict[str, float]
-    ) -> Dict[Edge2D, float]:
-        usage: Dict[Edge2D, float] = {}
-        for name, edges in routes2d.items():
-            for edge in edges:
-                usage[edge] = usage.get(edge, 0.0) + width[name]
-        return usage
-
     # ------------------------------------------------------------------
     # Layer assignment (greedy, bottom-up)
     # ------------------------------------------------------------------

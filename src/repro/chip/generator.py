@@ -140,12 +140,11 @@ def _place_rows(
 ) -> Tuple[List[CircuitInstance], int, int]:
     """Fill rows left to right with random cells; returns (instances, W, H)."""
     instances: List[CircuitInstance] = []
-    margin = 4 * THIN_PITCH
     max_row_width = 0
     instance_id = 0
     for row in range(spec.rows):
-        x = margin
-        y = margin + row * ROW_HEIGHT
+        x = DIE_MARGIN
+        y = DIE_MARGIN + row * ROW_HEIGHT
         for _ in range(spec.row_width_cells):
             template = library[rng.randrange(len(library))]
             orientation = Orientation.N if rng.random() < 0.5 else Orientation.FN
@@ -156,18 +155,17 @@ def _place_rows(
             if rng.random() < 0.25:
                 x += THIN_PITCH * rng.randrange(1, 4)
         max_row_width = max(max_row_width, x)
-    width = max_row_width + margin
-    height = 2 * margin + spec.rows * ROW_HEIGHT
+    width = max_row_width + DIE_MARGIN
+    height = 2 * DIE_MARGIN + spec.rows * ROW_HEIGHT
     return instances, width, height
 
 
 def _power_grid(width: int, height: int, rows: int) -> List[Blockage]:
     """Horizontal M1 power rails on row boundaries + sparse M2 straps."""
-    margin = 4 * THIN_PITCH
     rails: List[Blockage] = []
     rail_half = THIN_WIDTH
     for row in range(rows + 1):
-        y = margin + row * ROW_HEIGHT
+        y = DIE_MARGIN + row * ROW_HEIGHT
         rails.append(
             Blockage(1, Rect(0, y - rail_half, width, y + rail_half), "power_rail")
         )
@@ -210,16 +208,21 @@ def _terminal_count(rng, big: bool, big_max: int = 20) -> int:
     return rng.randrange(11, 21)
 
 
-def generate_chip(spec: ChipSpec) -> Chip:
-    """Generate the chip for ``spec`` deterministically from its seed."""
-    rng = make_rng(spec.seed)
-    library = example_cell_library()
-    instances, width, height = _place_rows(spec, library, rng)
-    blockages = _power_grid(width, height, spec.rows)
-    stack = example_stack(spec.num_layers)
-    rules = example_rules(spec.num_layers)
-    wire_types = example_wiretypes(stack)
+def _build_nets(
+    spec: ChipSpec,
+    rng,
+    instances: Sequence[CircuitInstance],
+    quota: int,
+    big_nets: int,
+    prefix: str,
+) -> List[Net]:
+    """Up to ``quota`` clustered nets over the pins of ``instances``.
 
+    Each net takes a free output as driver and the free inputs nearest
+    to it as sinks; its first ``big_nets`` nets draw from the big-fanout
+    tail of :func:`_terminal_count`.  Nets are named ``prefix`` + their
+    index.  The one netlist builder of both generators.
+    """
     all_pins, by_id = _free_pins(instances)
     outputs = [p for p in all_pins if p[2]]
     inputs = [p for p in all_pins if not p[2]]
@@ -229,16 +232,15 @@ def generate_chip(spec: ChipSpec) -> Chip:
 
     def make_pin(instance_id: int, pin_name: str) -> Pin:
         inst = by_id[instance_id]
-        shapes = inst.pin_shapes(pin_name)
-        return Pin(f"{instance_id}/{pin_name}", shapes, circuit_id=instance_id)
+        return Pin(
+            f"{instance_id}/{pin_name}",
+            inst.pin_shapes(pin_name),
+            circuit_id=instance_id,
+        )
 
     def nearest_free_inputs(x: int, y: int, k: int) -> List[Tuple[int, str, bool]]:
         """k unused input pins, biased towards (x, y) (clustered netlists)."""
-        candidates = [
-            p
-            for p in inputs
-            if (p[0], p[1]) not in used
-        ]
+        candidates = [p for p in inputs if (p[0], p[1]) not in used]
         if not candidates:
             return []
         locality = 6 * ROW_HEIGHT
@@ -256,17 +258,17 @@ def generate_chip(spec: ChipSpec) -> Chip:
 
     nets: List[Net] = []
     output_index = 0
-    while len(nets) < spec.net_count and output_index < len(outputs):
+    while len(nets) < quota and output_index < len(outputs):
         driver = outputs[output_index]
         output_index += 1
         if (driver[0], driver[1]) in used:
             continue
-        big = len(nets) < spec.big_fanout_nets
+        big = len(nets) < big_nets
         sinks_wanted = _terminal_count(rng, big, spec.big_fanout_max) - 1
         # Keep at least one input pin in reserve per net still to be built,
         # so big-fanout nets cannot starve the rest of the netlist.
         free_inputs = sum(1 for p in inputs if (p[0], p[1]) not in used)
-        nets_remaining = spec.net_count - len(nets) - 1
+        nets_remaining = quota - len(nets) - 1
         sinks_wanted = max(1, min(sinks_wanted, free_inputs - nets_remaining))
         inst = by_id[driver[0]]
         cx, cy = inst.bounding_box().center
@@ -282,8 +284,24 @@ def generate_chip(spec: ChipSpec) -> Chip:
         if rng.random() < spec.wide_net_fraction and len(pins) == 2:
             wire_type = "wide"
             weight = 2.0
-        nets.append(Net(f"n{len(nets)}", pins, wire_type=wire_type, weight=weight))
+        nets.append(
+            Net(f"{prefix}{len(nets)}", pins, wire_type=wire_type, weight=weight)
+        )
+    return nets
 
+
+def generate_chip(spec: ChipSpec) -> Chip:
+    """Generate the chip for ``spec`` deterministically from its seed."""
+    rng = make_rng(spec.seed)
+    library = example_cell_library()
+    instances, width, height = _place_rows(spec, library, rng)
+    blockages = _power_grid(width, height, spec.rows)
+    stack = example_stack(spec.num_layers)
+    rules = example_rules(spec.num_layers)
+    wire_types = example_wiretypes(stack)
+    nets = _build_nets(
+        spec, rng, instances, spec.net_count, spec.big_fanout_nets, "n"
+    )
     return Chip(
         name=spec.name,
         die=Rect(0, 0, width, height),
@@ -449,68 +467,11 @@ def generate_region(
         for layer, rect in inst.obstruction_shapes():
             blockages.append(Blockage(layer, rect, f"circuit:{inst.instance_id}"))
 
-    all_pins, by_id = _free_pins(instances)
-    outputs = [p for p in all_pins if p[2]]
-    inputs = [p for p in all_pins if not p[2]]
-    rng.shuffle(outputs)
-    rng.shuffle(inputs)
-    used: set = set()
-
-    def make_pin(instance_id: int, pin_name: str) -> Pin:
-        inst = by_id[instance_id]
-        return Pin(
-            f"{instance_id}/{pin_name}",
-            inst.pin_shapes(pin_name),
-            circuit_id=instance_id,
-        )
-
-    def nearest_free_inputs(x: int, y: int, k: int) -> List[Tuple[int, str, bool]]:
-        candidates = [p for p in inputs if (p[0], p[1]) not in used]
-        if not candidates:
-            return []
-        locality = 6 * ROW_HEIGHT
-
-        def distance_key(p: Tuple[int, str, bool]) -> Tuple[float, int]:
-            inst = by_id[p[0]]
-            cx, cy = inst.bounding_box().center
-            dist = abs(cx - x) + abs(cy - y)
-            return (dist + rng.randrange(0, locality), p[0])
-
-        candidates.sort(key=distance_key)
-        return candidates[:k]
-
-    quota = plan.region_net_quota(index)
-    nets: List[Net] = []
-    output_index = 0
-    while len(nets) < quota and output_index < len(outputs):
-        driver = outputs[output_index]
-        output_index += 1
-        if (driver[0], driver[1]) in used:
-            continue
-        # The big-fanout nets (Table II's tail) live in region 0.
-        big = index == 0 and len(nets) < spec.big_fanout_nets
-        sinks_wanted = _terminal_count(rng, big, spec.big_fanout_max) - 1
-        free_inputs = sum(1 for p in inputs if (p[0], p[1]) not in used)
-        nets_remaining = quota - len(nets) - 1
-        sinks_wanted = max(1, min(sinks_wanted, free_inputs - nets_remaining))
-        inst = by_id[driver[0]]
-        cx, cy = inst.bounding_box().center
-        sinks = nearest_free_inputs(cx, cy, sinks_wanted)
-        if not sinks:
-            continue
-        used.add((driver[0], driver[1]))
-        for sink in sinks:
-            used.add((sink[0], sink[1]))
-        pins = [make_pin(driver[0], driver[1])] + [make_pin(s[0], s[1]) for s in sinks]
-        wire_type = "default"
-        weight = 1.0
-        if rng.random() < spec.wide_net_fraction and len(pins) == 2:
-            wire_type = "wide"
-            weight = 2.0
-        nets.append(
-            Net(f"n{index}_{len(nets)}", pins, wire_type=wire_type, weight=weight)
-        )
-
+    # The big-fanout nets (Table II's tail) live in region 0.
+    nets = _build_nets(
+        spec, rng, instances, plan.region_net_quota(index),
+        spec.big_fanout_nets if index == 0 else 0, f"n{index}_",
+    )
     return ShardRegion(
         index, plan.region_box(index), nets, blockages, len(instances)
     )

@@ -90,12 +90,6 @@ class NetRoute:
         self.via_levels.append(level)
         self.via_types.append(wire_type if wire_type is not None else self.wire_type)
 
-    def wire_level(self, stick: StickFigure) -> int:
-        return self.wire_levels[self.wires.index(stick)]
-
-    def via_level(self, via: ViaInstance) -> int:
-        return self.via_levels[self.vias.index(via)]
-
     def wire_items(self) -> List[Tuple[StickFigure, int, str]]:
         """(stick, ripup_level, wire_type_name) triples."""
         return list(zip(self.wires, self.wire_levels, self.wire_types))
@@ -130,10 +124,3 @@ class NetRoute:
         if not rects:
             return None
         return Rect.bounding(rects)
-
-    def layers_used(self) -> List[int]:
-        layers = {w.layer for w in self.wires}
-        for via in self.vias:
-            layers.add(via.via_layer)
-            layers.add(via.via_layer + 1)
-        return sorted(layers)

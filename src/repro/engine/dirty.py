@@ -10,7 +10,7 @@ edit), which feeds the ``engine.ripups_propagated`` counter.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set
+from typing import Dict, Set
 
 #: Direct edits.
 REASON_EDITED = "edited"  # the net's own pins moved
@@ -77,13 +77,3 @@ class DirtyTracker:
     def clear(self) -> None:
         self._reasons.clear()
         self._propagated.clear()
-
-    def update_from(
-        self, names: Iterable[str], reason: str, propagated: bool = False
-    ) -> int:
-        """Mark many; returns how many were newly marked."""
-        fresh = 0
-        for name in names:
-            if self.mark(name, reason, propagated=propagated):
-                fresh += 1
-        return fresh

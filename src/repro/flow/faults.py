@@ -280,13 +280,6 @@ class FaultInjector:
             "fired": [list(entry) for entry in self.fired[fired_since:]],
         }
 
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "FaultInjector":
-        """Rebuild an injector in a process that did not inherit one."""
-        injector = cls(FaultPlan.from_dict(state.get("plan") or {}))
-        injector.merge_child_state(state)
-        return injector
-
     def merge_child_state(self, state: Dict[str, object]) -> None:
         """Fold a worker's fire-state back into this injector.
 

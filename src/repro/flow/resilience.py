@@ -55,10 +55,6 @@ class Deadline:
         self._clock = clock if clock is not None else time.monotonic
         self._start = self._clock()
 
-    @classmethod
-    def never(cls) -> "Deadline":
-        return cls(None)
-
     @property
     def elapsed(self) -> float:
         return self._clock() - self._start

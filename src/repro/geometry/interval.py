@@ -72,9 +72,6 @@ class Interval:
             pieces.append(Interval(other.hi + 1, self.hi))
         return pieces
 
-    def clamp(self, x: int) -> int:
-        return min(max(x, self.lo), self.hi)
-
 
 def merge_intervals(intervals: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """Union of closed intervals, as a sorted list of disjoint (lo, hi).

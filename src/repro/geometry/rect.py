@@ -123,16 +123,6 @@ class Rect:
             self.y_hi + other.y_hi,
         )
 
-    def mirrored_x(self) -> "Rect":
-        return Rect(-self.x_hi, self.y_lo, -self.x_lo, self.y_hi)
-
-    def mirrored_y(self) -> "Rect":
-        return Rect(self.x_lo, -self.y_hi, self.x_hi, -self.y_lo)
-
-    def rotated_90(self) -> "Rect":
-        """Rotate by 90 degrees counter-clockwise around the origin."""
-        return Rect(-self.y_hi, self.x_lo, -self.y_lo, self.x_hi)
-
     def as_tuple(self) -> Tuple[int, int, int, int]:
         return (self.x_lo, self.y_lo, self.x_hi, self.y_hi)
 

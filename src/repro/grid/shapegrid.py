@@ -143,13 +143,6 @@ class _LayerGrid:
         return (row_lo, row_hi, col_lo, col_hi)
 
     # -- interval row primitives -------------------------------------
-    def _get_config(self, row: AVLTree, col: int) -> int:
-        item = row.floor_item(col)
-        if item is None:
-            return EMPTY_CONFIG_ID
-        start, (end, config_id) = item
-        return config_id if col <= end else EMPTY_CONFIG_ID
-
     def _set_range(self, row_index: int, col_lo: int, col_hi: int, mapper) -> None:
         """Apply ``mapper(col, old_config_id) -> new_config_id`` over a range.
 

@@ -68,11 +68,6 @@ class TrackGraph:
     # ------------------------------------------------------------------
     # Coordinates
     # ------------------------------------------------------------------
-    def vertex_count(self) -> int:
-        return sum(
-            len(self.tracks[z]) * len(self.crosses[z]) for z in self.stack.indices
-        )
-
     def position(self, vertex: Vertex) -> Tuple[int, int, int]:
         """Physical (x, y, z) of a vertex."""
         z, t, c = vertex
@@ -177,11 +172,6 @@ class TrackGraph:
         t = _nearest_index(tracks, track_coord)
         c = _nearest_index(crosses, cross_coord)
         return (z, t, c)
-
-    def segment_vertices(
-        self, z: int, t: int, c_lo: int, c_hi: int
-    ) -> List[Vertex]:
-        return [(z, t, c) for c in range(c_lo, c_hi + 1)]
 
 
 def _nearest_index(coords: Sequence[int], value: int) -> int:

@@ -98,9 +98,6 @@ class GlobalRoutingGraph:
                 for ty in range(self.ny):
                     yield (tx, ty, z)
 
-    def node_count(self) -> int:
-        return self.nx * self.ny * len(self.chip.stack)
-
     def neighbors(self, node: Node) -> Iterator[Tuple[Node, Edge]]:
         tx, ty, z = node
         stack = self.chip.stack

@@ -28,9 +28,6 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.chip.net import Net
 from repro.groute.graph import Edge, GlobalRoutingGraph
 
-#: Names of the global (non-edge) resources.
-GLOBAL_RESOURCES = ("wirelength", "power", "yield")
-
 #: Golden-section step of the Eq. 1 search, and its stopping interval.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _SPACE_TOL = 1e-3
@@ -255,18 +252,3 @@ class ResourceModel:
             )
         f, s_star = found
         return base + f, s_star
-
-    def usage_summary(
-        self, routes: Dict[str, "object"]
-    ) -> Dict[str, float]:
-        """Total global resource usage of a set of GlobalRoute objects."""
-        totals = {name: 0.0 for name in GLOBAL_RESOURCES}
-        for route in routes.values():
-            for edge in route.edges:
-                s = route.extra_space.get(edge, 0.0)
-                usage = self.edge_usage(route.net_name, edge, s)
-                for name in GLOBAL_RESOURCES:
-                    if name in usage:
-                        totals[name] += usage[name]
-        return totals
-

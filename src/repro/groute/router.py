@@ -163,51 +163,15 @@ class GlobalRouter:
     def run(
         self, nets: Optional[Sequence[Net]] = None, deadline=None
     ) -> GlobalRoutingResult:
-        start = time.time()
-        if nets is None:
-            nets = self.chip.nets
-        result = GlobalRoutingResult(self.chip, self.graph)
-        routable: List[Net] = []
-        for net in nets:
-            if self.graph.is_local_net(net):
-                # Removed from global routing (Sec. 2.1); the detailed
-                # router handles it inside (a slightly enlarged) tile.
-                result.local_nets.add(net.name)
-            else:
-                routable.append(net)
-        solver = ResourceSharingSolver(
-            self.graph, self.model, phases=self.phases,
-            fault_injector=self.fault_injector,
+        result = self._route(
+            self.chip.nets if nets is None else nets, self.phases, deadline=deadline
         )
-        sharing_start = time.time()
-        with OBS.trace(
-            "groute.sharing", nets=len(routable), phases=self.phases
-        ):
-            fractional = solver.solve(routable, deadline=deadline)
-        result.sharing_runtime = time.time() - sharing_start
-        result.fractional = fractional
-        rounding_start = time.time()
-        postprocessor = RoundingPostprocessor(
-            self.graph, self.model, self.seed,
-            fault_injector=self.fault_injector,
-        )
-        with OBS.trace("groute.rounding"):
-            routes = postprocessor.round(fractional)
-            routes = postprocessor.repair(routes, fractional, routable)
-        result.rounding_runtime = time.time() - rounding_start
-        result.rounding_stats = postprocessor.stats
-        result.routes = routes
-        result.total_runtime = time.time() - start
         if self.session is not None:
-            self.session.store_sharing_prices(fractional.prices)
             self.session.ingest_global(result)
         if OBS.enabled:
-            OBS.count("groute.nets_routed", len(result.routes))
-            OBS.count("groute.local_nets", len(result.local_nets))
             stats = result.rounding_stats
-            if stats is not None:
-                OBS.count("groute.fresh_reroutes", stats.fresh_reroutes)
-                OBS.gauge("groute.final_violations", stats.final_violations)
+            OBS.count("groute.fresh_reroutes", stats.fresh_reroutes)
+            OBS.gauge("groute.final_violations", stats.final_violations)
         return result
 
     def run_incremental(
@@ -227,27 +191,49 @@ class GlobalRouter:
         repair stage accounts for their edge usage when it resolves
         overflows but never rechooses or reroutes them (they have no
         fractional support and no Net object in the repair call).
+
+        With no warm start, no frozen routes and the router's own phase
+        count this is :meth:`run` on ``nets``: the same body runs both.
         """
+        return self._route(
+            nets,
+            phases if phases is not None else self.phases,
+            warm_start=warm_start,
+            frozen_routes=frozen_routes,
+            incremental=True,
+        )
+
+    def _route(
+        self,
+        nets: Sequence[Net],
+        phases: int,
+        deadline=None,
+        warm_start: Optional[Dict[object, float]] = None,
+        frozen_routes: Optional[Dict[str, GlobalRoute]] = None,
+        incremental: bool = False,
+    ) -> GlobalRoutingResult:
+        """Sharing, rounding and repair of ``nets`` (both public runs)."""
         start = time.time()
+        span_attrs = {"incremental": True} if incremental else {}
         result = GlobalRoutingResult(self.chip, self.graph)
         routable: List[Net] = []
         for net in nets:
             if self.graph.is_local_net(net):
+                # Removed from global routing (Sec. 2.1); the detailed
+                # router handles it inside (a slightly enlarged) tile.
                 result.local_nets.add(net.name)
             else:
                 routable.append(net)
         solver = ResourceSharingSolver(
-            self.graph, self.model,
-            phases=phases if phases is not None else self.phases,
+            self.graph, self.model, phases=phases,
             fault_injector=self.fault_injector,
             initial_log_prices=warm_start,
         )
         sharing_start = time.time()
         with OBS.trace(
-            "groute.sharing", nets=len(routable), phases=solver.phases,
-            incremental=True,
+            "groute.sharing", nets=len(routable), phases=phases, **span_attrs
         ):
-            fractional = solver.solve(routable)
+            fractional = solver.solve(routable, deadline=deadline)
         result.sharing_runtime = time.time() - sharing_start
         result.fractional = fractional
         rounding_start = time.time()
@@ -255,18 +241,17 @@ class GlobalRouter:
             self.graph, self.model, self.seed,
             fault_injector=self.fault_injector,
         )
-        with OBS.trace("groute.rounding", incremental=True):
-            routes = postprocessor.round(fractional)
-            merged = dict(frozen_routes or {})
-            merged.update(routes)
-            merged = postprocessor.repair(merged, fractional, routable)
+        with OBS.trace("groute.rounding", **span_attrs):
+            routes = dict(frozen_routes or {})
+            routes.update(postprocessor.round(fractional))
+            routes = postprocessor.repair(routes, fractional, routable)
         result.rounding_runtime = time.time() - rounding_start
         result.rounding_stats = postprocessor.stats
-        # Only the re-routed nets belong to this result; the frozen
-        # routes were load, not output.
-        dirty_names = {net.name for net in nets}
+        # Only the routed nets belong to the result; frozen routes were
+        # load, not output.
+        names = {net.name for net in nets}
         result.routes = {
-            name: route for name, route in merged.items() if name in dirty_names
+            name: route for name, route in routes.items() if name in names
         }
         result.total_runtime = time.time() - start
         if self.session is not None:

@@ -8,7 +8,12 @@ A sharded instance is a directory::
 The manifest holds everything global (the die box, the power grid, the
 generating :class:`~repro.chip.generator.ChipSpec`); each shard holds one
 region's netlist in the text-format line grammar (``BLOCKAGE``/``NET``/
-``PIN``).  The split is what bounds memory: a 10^5-net instance streams
+``PIN``), written by :func:`~repro.io.textformat.blockage_line` and
+:func:`~repro.io.textformat.net_lines` and read by
+:class:`~repro.io.textformat.NetlistReader`, the same writer and reader
+chip files use.  A shard keeps its own ``SHARD`` header and rejects the
+chip file's ``CHIP``/``LAYER``/``CIRCUIT`` lines with
+:class:`ShardFormatError`.  The split is what bounds memory: a 10^5-net instance streams
 to disk one region at a time, and a router working on one region loads
 one shard, not the chip.
 
@@ -27,8 +32,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.chip.design import Blockage, Chip
-from repro.chip.net import Net, Pin
+from repro.chip.net import Net
 from repro.geometry.rect import Rect
+from repro.io.textformat import NetlistReader, blockage_line, net_lines
 from repro.obs import OBS
 from repro.tech.stacks import (
     THIN_PITCH,
@@ -75,21 +81,9 @@ def dump_shard(region) -> str:
     :class:`ShardData`) to the shard text grammar."""
     box = region.box
     lines = [f"SHARD {region.index} BOX {box.x_lo} {box.y_lo} {box.x_hi} {box.y_hi}"]
-    for blockage in region.blockages:
-        r = blockage.rect
-        lines.append(
-            f"BLOCKAGE {blockage.layer} {r.x_lo} {r.y_lo} {r.x_hi} {r.y_hi} "
-            f"{blockage.label}"
-        )
+    lines.extend(blockage_line(blockage) for blockage in region.blockages)
     for net in region.nets:
-        lines.append(f"NET {net.name} WIRETYPE {net.wire_type} WEIGHT {net.weight}")
-        for pin in net.pins:
-            owner = pin.circuit_id if pin.circuit_id is not None else "-"
-            for layer, rect in pin.shapes:
-                lines.append(
-                    f"PIN {net.name} {pin.name} {owner} {layer} "
-                    f"{rect.x_lo} {rect.y_lo} {rect.x_hi} {rect.y_hi}"
-                )
+        lines.extend(net_lines(net))
     lines.append("END")
     return "\n".join(lines) + "\n"
 
@@ -98,12 +92,7 @@ def load_shard(text: str) -> ShardData:
     """Parse one shard file back into nets/blockages (canonical order)."""
     index: Optional[int] = None
     box: Optional[Rect] = None
-    blockages: List[Blockage] = []
-    nets_meta: Dict[str, Tuple[str, float]] = {}
-    net_order: List[str] = []
-    pin_shapes: Dict[Tuple[str, str], List[Tuple[int, Rect]]] = {}
-    pin_owner: Dict[Tuple[str, str], Optional[int]] = {}
-    pin_order: Dict[str, List[str]] = {}
+    netlist = NetlistReader()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -116,48 +105,15 @@ def load_shard(text: str) -> ShardData:
                 box = Rect(
                     int(tokens[3]), int(tokens[4]), int(tokens[5]), int(tokens[6])
                 )
-            elif keyword == "BLOCKAGE":
-                label = tokens[6] if len(tokens) > 6 else "blockage"
-                blockages.append(
-                    Blockage(
-                        int(tokens[1]),
-                        Rect(int(tokens[2]), int(tokens[3]), int(tokens[4]),
-                             int(tokens[5])),
-                        label,
-                    )
-                )
-            elif keyword == "NET":
-                net_name = tokens[1]
-                nets_meta[net_name] = (tokens[3], float(tokens[5]))
-                net_order.append(net_name)
-            elif keyword == "PIN":
-                net_name, pin_name = tokens[1], tokens[2]
-                owner = None if tokens[3] == "-" else int(tokens[3])
-                rect = Rect(int(tokens[5]), int(tokens[6]), int(tokens[7]),
-                            int(tokens[8]))
-                key = (net_name, pin_name)
-                if key not in pin_shapes:
-                    pin_order.setdefault(net_name, []).append(pin_name)
-                pin_shapes.setdefault(key, []).append((int(tokens[4]), rect))
-                pin_owner[key] = owner
             elif keyword == "END":
                 pass
-            else:
+            elif not netlist.read(tokens):
                 raise ShardFormatError(f"unknown keyword {keyword!r}")
         except (IndexError, ValueError) as error:
             raise ShardFormatError(f"line {line_no}: {raw!r}: {error}") from error
     if index is None or box is None:
         raise ShardFormatError("missing SHARD header line")
-    nets: List[Net] = []
-    for net_name in net_order:
-        wire_type, weight = nets_meta[net_name]
-        pins = [
-            Pin(pin_name, pin_shapes[(net_name, pin_name)],
-                circuit_id=pin_owner[(net_name, pin_name)])
-            for pin_name in pin_order.get(net_name, [])
-        ]
-        nets.append(Net(net_name, pins, wire_type=wire_type, weight=weight))
-    return ShardData(index, box, nets, blockages)
+    return ShardData(index, box, netlist.nets(), netlist.blockages)
 
 
 def shard_file_name(index: int) -> str:
@@ -301,9 +257,6 @@ class ShardStore:
     def shard_box(self, index: int) -> Rect:
         return self._boxes[index]
 
-    def shard_meta(self, index: int) -> Dict[str, object]:
-        return self._index[index]
-
     @property
     def resident_count(self) -> int:
         return len(self._resident)
@@ -373,16 +326,10 @@ class ShardStore:
             min(self.die.y_hi, data.box.y_hi + halo),
         )
         blockages: List[Blockage] = []
-        for blockage in self.power_blockages:
+        for blockage in self.power_blockages + data.blockages:
             clipped = blockage.rect.intersection(die)
-            if clipped is None:
-                continue
-            blockages.append(Blockage(blockage.layer, clipped, blockage.label))
-        for blockage in data.blockages:
-            clipped = blockage.rect.intersection(die)
-            if clipped is None:
-                continue
-            blockages.append(Blockage(blockage.layer, clipped, blockage.label))
+            if clipped is not None:
+                blockages.append(Blockage(blockage.layer, clipped, blockage.label))
         stack, rules, wire_types = self._base()
         return Chip(
             f"{self.name}#shard{index}", die, stack, rules, wire_types,

@@ -18,6 +18,11 @@ Routes format::
     VIA <net> <via_layer> <x> <y> <level> <type>
     END
 
+The ``BLOCKAGE``/``NET``/``PIN`` lines are the netlist grammar that
+sharded instances (:mod:`repro.io.shards`) use too: one writer
+(:func:`blockage_line`, :func:`net_lines`) and one reader
+(:class:`NetlistReader`) serve both file kinds.
+
 Cell templates are not serialized (the text chip stores placed pin
 shapes and obstruction rectangles directly); reloaded chips route
 identically but lose the template/orientation metadata.
@@ -41,6 +46,91 @@ class FormatError(ValueError):
 
 
 # ----------------------------------------------------------------------
+# Netlist lines (shared by chip and shard files)
+# ----------------------------------------------------------------------
+def blockage_line(blockage: Blockage) -> str:
+    r = blockage.rect
+    return (
+        f"BLOCKAGE {blockage.layer} {r.x_lo} {r.y_lo} {r.x_hi} {r.y_hi} "
+        f"{blockage.label}"
+    )
+
+
+def net_lines(net: Net) -> List[str]:
+    """The net's ``NET`` line followed by one ``PIN`` line per pin shape."""
+    lines = [f"NET {net.name} WIRETYPE {net.wire_type} WEIGHT {net.weight}"]
+    for pin in net.pins:
+        owner = pin.circuit_id if pin.circuit_id is not None else "-"
+        for layer, rect in pin.shapes:
+            lines.append(
+                f"PIN {net.name} {pin.name} {owner} {layer} "
+                f"{rect.x_lo} {rect.y_lo} {rect.x_hi} {rect.y_hi}"
+            )
+    return lines
+
+
+class NetlistReader:
+    """Collects the ``BLOCKAGE``/``NET``/``PIN`` lines of one file.
+
+    The file's loader hands every tokenized line to :meth:`read` and
+    keeps the header lines, the unknown-keyword check and the error type
+    to itself.
+    """
+
+    def __init__(self) -> None:
+        self.blockages: List[Blockage] = []
+        self._nets_meta: Dict[str, Tuple[str, float]] = {}
+        self._net_order: List[str] = []
+        self._pin_shapes: Dict[Tuple[str, str], List[Tuple[int, Rect]]] = {}
+        self._pin_owner: Dict[Tuple[str, str], Optional[int]] = {}
+        self._pin_order: Dict[str, List[str]] = {}
+
+    def read(self, tokens: List[str]) -> bool:
+        """Take one netlist line; False if ``tokens`` is none of them."""
+        keyword = tokens[0]
+        if keyword == "BLOCKAGE":
+            label = tokens[6] if len(tokens) > 6 else "blockage"
+            self.blockages.append(
+                Blockage(
+                    int(tokens[1]),
+                    Rect(int(tokens[2]), int(tokens[3]), int(tokens[4]),
+                         int(tokens[5])),
+                    label,
+                )
+            )
+        elif keyword == "NET":
+            net_name = tokens[1]
+            self._nets_meta[net_name] = (tokens[3], float(tokens[5]))
+            self._net_order.append(net_name)
+        elif keyword == "PIN":
+            net_name, pin_name = tokens[1], tokens[2]
+            owner = None if tokens[3] == "-" else int(tokens[3])
+            rect = Rect(int(tokens[5]), int(tokens[6]), int(tokens[7]),
+                        int(tokens[8]))
+            key = (net_name, pin_name)
+            if key not in self._pin_shapes:
+                self._pin_order.setdefault(net_name, []).append(pin_name)
+            self._pin_shapes.setdefault(key, []).append((int(tokens[4]), rect))
+            self._pin_owner[key] = owner
+        else:
+            return False
+        return True
+
+    def nets(self) -> List[Net]:
+        """The nets in file order, each with its pins in file order."""
+        nets: List[Net] = []
+        for net_name in self._net_order:
+            wire_type, weight = self._nets_meta[net_name]
+            pins = [
+                Pin(pin_name, self._pin_shapes[(net_name, pin_name)],
+                    circuit_id=self._pin_owner[(net_name, pin_name)])
+                for pin_name in self._pin_order.get(net_name, [])
+            ]
+            nets.append(Net(net_name, pins, wire_type=wire_type, weight=weight))
+        return nets
+
+
+# ----------------------------------------------------------------------
 # Chip writer
 # ----------------------------------------------------------------------
 def dump_chip(chip: Chip) -> str:
@@ -56,31 +146,19 @@ def dump_chip(chip: Chip) -> str:
             f"LAYER {layer.index} {direction} PITCH {layer.pitch} "
             f"WIDTH {layer.min_width} SPACING {layer.min_spacing}"
         )
-    for blockage in chip.blockages:
-        r = blockage.rect
-        lines.append(
-            f"BLOCKAGE {blockage.layer} {r.x_lo} {r.y_lo} {r.x_hi} {r.y_hi} "
-            f"{blockage.label}"
-        )
+    lines.extend(blockage_line(blockage) for blockage in chip.blockages)
     for circuit in chip.circuits:
         lines.append(
             f"CIRCUIT {circuit.instance_id} {circuit.template.name} "
             f"{circuit.x} {circuit.y} {circuit.orientation.value}"
         )
-        for layer, rect in circuit.obstruction_shapes():
-            lines.append(
-                f"BLOCKAGE {layer} {rect.x_lo} {rect.y_lo} {rect.x_hi} "
-                f"{rect.y_hi} circuit:{circuit.instance_id}"
-            )
+        label = f"circuit:{circuit.instance_id}"
+        lines.extend(
+            blockage_line(Blockage(layer, rect, label))
+            for layer, rect in circuit.obstruction_shapes()
+        )
     for net in chip.nets:
-        lines.append(f"NET {net.name} WIRETYPE {net.wire_type} WEIGHT {net.weight}")
-        for pin in net.pins:
-            owner = pin.circuit_id if pin.circuit_id is not None else "-"
-            for layer, rect in pin.shapes:
-                lines.append(
-                    f"PIN {net.name} {pin.name} {owner} {layer} "
-                    f"{rect.x_lo} {rect.y_lo} {rect.x_hi} {rect.y_hi}"
-                )
+        lines.extend(net_lines(net))
     lines.append("END")
     return "\n".join(lines) + "\n"
 
@@ -92,12 +170,7 @@ def load_chip(text: str) -> Chip:
     name: Optional[str] = None
     die: Optional[Rect] = None
     layer_specs: List[Layer] = []
-    blockages: List[Blockage] = []
-    nets_meta: Dict[str, Tuple[str, float]] = {}
-    net_order: List[str] = []
-    pin_shapes: Dict[Tuple[str, str], List[Tuple[int, Rect]]] = {}
-    pin_owner: Dict[Tuple[str, str], Optional[int]] = {}
-    pin_order: Dict[str, List[str]] = {}
+    netlist = NetlistReader()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -117,35 +190,9 @@ def load_chip(text: str) -> Chip:
                     Layer(int(tokens[1]), direction, int(tokens[4]),
                           int(tokens[6]), int(tokens[8]))
                 )
-            elif keyword == "BLOCKAGE":
-                label = tokens[6] if len(tokens) > 6 else "blockage"
-                blockages.append(
-                    Blockage(
-                        int(tokens[1]),
-                        Rect(int(tokens[2]), int(tokens[3]), int(tokens[4]),
-                             int(tokens[5])),
-                        label,
-                    )
-                )
-            elif keyword == "CIRCUIT":
-                pass  # placement metadata only; shapes arrive as BLOCKAGEs
-            elif keyword == "NET":
-                net_name = tokens[1]
-                nets_meta[net_name] = (tokens[3], float(tokens[5]))
-                net_order.append(net_name)
-            elif keyword == "PIN":
-                net_name, pin_name = tokens[1], tokens[2]
-                owner = None if tokens[3] == "-" else int(tokens[3])
-                rect = Rect(int(tokens[5]), int(tokens[6]), int(tokens[7]),
-                            int(tokens[8]))
-                key = (net_name, pin_name)
-                if key not in pin_shapes:
-                    pin_order.setdefault(net_name, []).append(pin_name)
-                pin_shapes.setdefault(key, []).append((int(tokens[4]), rect))
-                pin_owner[key] = owner
-            elif keyword in ("END", "ROUTES", "ROUTE", "WIRE", "VIA"):
-                pass
-            else:
+            elif keyword in ("CIRCUIT", "END", "ROUTES", "ROUTE", "WIRE", "VIA"):
+                pass  # CIRCUIT is placement metadata; shapes arrive as BLOCKAGEs
+            elif not netlist.read(tokens):
                 raise FormatError(f"unknown keyword {keyword!r}")
         except (IndexError, ValueError) as error:
             raise FormatError(f"line {line_no}: {raw!r}: {error}") from error
@@ -153,19 +200,11 @@ def load_chip(text: str) -> Chip:
     if name is None or die is None or not layer_specs:
         raise FormatError("missing CHIP or LAYER lines")
     stack = LayerStack(layer_specs)
-    nets: List[Net] = []
-    for net_name in net_order:
-        wire_type, weight = nets_meta[net_name]
-        pins = [
-            Pin(pin_name, pin_shapes[(net_name, pin_name)],
-                circuit_id=pin_owner[(net_name, pin_name)])
-            for pin_name in pin_order.get(net_name, [])
-        ]
-        nets.append(Net(net_name, pins, wire_type=wire_type, weight=weight))
     num_layers = len(layer_specs)
     return Chip(
         name, die, stack, example_rules(num_layers),
-        example_wiretypes(stack), circuits=[], nets=nets, blockages=blockages,
+        example_wiretypes(stack), circuits=[], nets=netlist.nets(),
+        blockages=netlist.blockages,
     )
 
 

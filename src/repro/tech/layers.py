@@ -16,12 +16,6 @@ class Direction(enum.Enum):
     HORIZONTAL = "horizontal"
     VERTICAL = "vertical"
 
-    @property
-    def orthogonal(self) -> "Direction":
-        if self is Direction.HORIZONTAL:
-            return Direction.VERTICAL
-        return Direction.HORIZONTAL
-
 
 class Layer:
     """One wiring layer of the stack."""
@@ -119,6 +113,3 @@ class LayerStack:
 
     def horizontal_layers(self) -> List[int]:
         return [i for i in self._indices if self[i].direction is Direction.HORIZONTAL]
-
-    def vertical_layers(self) -> List[int]:
-        return [i for i in self._indices if self[i].direction is Direction.VERTICAL]

@@ -230,10 +230,6 @@ class WireType:
     def __repr__(self) -> str:
         return f"WireType({self.name})"
 
-    def wire_model(self, layer: int, direction: Direction, stack: LayerStack) -> WireModel:
-        pref, npref = self._wire_models[layer]
-        return pref if stack.direction(layer) is direction else npref
-
     def preferred_model(self, layer: int) -> WireModel:
         return self._wire_models[layer][0]
 

@@ -184,3 +184,23 @@ class TestDegenerateCorridors:
         assert area.boxes is not None
         assert set(area.boxes) == {2, 3, 4}
         assert result.corridor_detour(name) >= 1.0
+
+
+class TestIncrementalIsRunOnAllNets:
+    """:meth:`GlobalRouter.run_incremental` with no warm start, no frozen
+    routes and the router's own phase count routes like :meth:`run`."""
+
+    def test_same_routes_and_local_nets(self):
+        chip = generate_chip(
+            ChipSpec("incrfull", rows=4, row_width_cells=10, net_count=40, seed=7)
+        )
+        full = GlobalRouter(chip, phases=6, seed=1).run()
+        incremental = GlobalRouter(chip, phases=6, seed=1).run_incremental(
+            list(chip.nets)
+        )
+        assert full.routes
+        assert incremental.local_nets == full.local_nets
+        assert list(incremental.routes) == list(full.routes)
+        for name, route in full.routes.items():
+            assert incremental.routes[name].edges == route.edges
+            assert incremental.routes[name].extra_space == route.extra_space

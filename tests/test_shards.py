@@ -17,6 +17,7 @@ from repro.chip.generator import (
     ShardPlan,
     TABLE_CHIP_SPECS,
     chip_spec,
+    generate_chip,
     generate_chip_sharded,
     generate_region,
     iter_regions,
@@ -29,6 +30,7 @@ from repro.io.shards import (
     dump_shard,
     load_shard,
 )
+from repro.io.textformat import FormatError, dump_chip, load_chip
 
 
 def canonical_chip(chip):
@@ -167,6 +169,42 @@ class TestShardStore:
     def test_bad_shard_line_rejected(self):
         with pytest.raises(ShardFormatError):
             load_shard("SHARD 0 BOX 0 0 10 10\nWAT 1 2 3\nEND\n")
+
+
+SHARD_HEADER = "SHARD 0 BOX 0 0 10 10"
+CHIP_HEADER = "CHIP c DIE 0 0 10 10 LAYERS 1"
+LAYER_LINE = "LAYER 1 H PITCH 80 WIDTH 40 SPACING 40"
+
+
+class TestOneNetlistGrammar:
+    """Chip and shard files share the ``BLOCKAGE``/``NET``/``PIN`` lines
+    and nothing else."""
+
+    def test_chip_netlist_lines_load_as_a_shard(self):
+        chip = generate_chip(
+            ChipSpec("grammar", rows=2, row_width_cells=5, net_count=8, seed=3)
+        )
+        netlist = [
+            line for line in dump_chip(chip).splitlines()
+            if line.split()[0] in ("BLOCKAGE", "NET", "PIN")
+        ]
+        data = load_shard("\n".join([SHARD_HEADER] + netlist))
+        loaded = load_chip(dump_chip(chip))
+        assert canonical_chip(data) == canonical_chip(loaded)
+
+    @pytest.mark.parametrize(
+        "load, text, error",
+        [
+            (load_shard, f"{SHARD_HEADER}\n{LAYER_LINE}", ShardFormatError),
+            (load_shard, f"{SHARD_HEADER}\n{CHIP_HEADER}", ShardFormatError),
+            (load_shard, f"{SHARD_HEADER}\nCIRCUIT 0 INV 0 0 N", ShardFormatError),
+            (load_chip, f"{CHIP_HEADER}\n{LAYER_LINE}\n{SHARD_HEADER}", FormatError),
+        ],
+        ids=["shard_layer", "shard_chip", "shard_circuit", "chip_shard"],
+    )
+    def test_neither_file_takes_the_others_lines(self, load, text, error):
+        with pytest.raises(error, match="unknown keyword"):
+            load(text + "\nEND\n")
 
 
 class TestShardRegionRoute:
