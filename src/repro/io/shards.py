@@ -13,9 +13,9 @@ region's netlist in the text-format line grammar (``BLOCKAGE``/``NET``/
 :class:`~repro.io.textformat.NetlistReader`, the same writer and reader
 chip files use.  A shard keeps its own ``SHARD`` header and rejects the
 chip file's ``CHIP``/``LAYER``/``CIRCUIT`` lines with
-:class:`ShardFormatError`.  The split is what bounds memory: a 10^5-net instance streams
-to disk one region at a time, and a router working on one region loads
-one shard, not the chip.
+:class:`ShardFormatError`.  The split is what bounds memory: a 10^5-net
+instance streams to disk one region at a time, and a router working on
+one region loads one shard, not the chip.
 
 :class:`ShardStore` is the lazy loader: an LRU cache of resident shards
 (``shards.loads``/``shards.evictions`` counters, ``shards.resident``

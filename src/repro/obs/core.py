@@ -27,10 +27,6 @@ import uuid
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence
 
-#: Metric / span / event names: lowercase dotted identifiers.
-NAME_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_."
-
-
 def new_trace_id() -> str:
     """A fresh 16-hex-digit trace id (one per traced run)."""
     return uuid.uuid4().hex[:16]
